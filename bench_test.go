@@ -143,13 +143,13 @@ func BenchmarkRunE1WarmCache(b *testing.B) {
 func benchPrepareApp(b *testing.B, cache *harness.PipelineCache) {
 	app := corpus.ByName(corpus.All(), "modbus")
 	if cache != nil {
-		if _, err := harness.PrepareAppCached(app, cache); err != nil {
+		if _, err := harness.PrepareApp(app, cache, false); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := harness.PrepareAppCached(app, cache); err != nil {
+		if _, err := harness.PrepareApp(app, cache, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -235,7 +235,7 @@ func BenchmarkFigure12PerApp(b *testing.B) {
 func runnerFor(b *testing.B, name string) *harness.PreparedApp {
 	b.Helper()
 	app := corpus.ByName(corpus.All(), name)
-	prep, err := harness.PrepareApp(app)
+	prep, err := harness.PrepareApp(app, nil, false)
 	if err != nil {
 		b.Fatal(err)
 	}

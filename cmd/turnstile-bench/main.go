@@ -39,11 +39,12 @@
 // selective-version structured trace JSON (virtual-clock timestamps).
 // -profile FILE writes a pprof CPU profile of the whole run.
 //
-// Execution-mode flags: -noresolve runs every interpreter on the map-walk
-// environment with the resolver fast paths disabled (the A/B escape
-// hatch). -bench runs the slot-env vs map-walk interpreter
-// microbenchmarks (-benchrepeats best-of repeats) and -benchout FILE
-// writes the report JSON (the committed BENCH_*.json artifacts).
+// Execution-mode flags: -novm runs every interpreter on the tree-walking
+// evaluator instead of the bytecode VM (the differential oracle). -bench
+// runs the slot-env vs map-walk interpreter microbenchmarks, where the
+// map walk is the tree-walker on an unresolved parse (-benchrepeats
+// best-of repeats), and -benchout FILE writes the report JSON (the
+// committed BENCH_*.json artifacts).
 //
 // Generated-corpus mode: -gen N generates and scores N seeded stratified
 // apps (-genseed S selects the population; same (N, seed) → byte-identical
@@ -110,7 +111,6 @@ func main() {
 	metrics := flag.Bool("metrics", false, "emit the per-app DIFT overhead-breakdown tables")
 	traceDir := flag.String("trace", "", "write per-app selective-version trace JSON into this directory (implies -metrics)")
 	profileOut := flag.String("profile", "", "write a pprof CPU profile of the whole run to this file")
-	noResolve := flag.Bool("noresolve", false, "run interpreters on the map-walk env with resolver fast paths disabled (A/B escape hatch)")
 	noVM := flag.Bool("novm", false, "run interpreters on the tree-walking evaluator with the bytecode VM disabled (differential oracle)")
 	bench := flag.Bool("bench", false, "run the slot-env vs map-walk interpreter microbenchmarks")
 	benchOut := flag.String("benchout", "", "also write the microbenchmark report JSON to this file (e.g. BENCH_baseline.json)")
@@ -255,7 +255,7 @@ func main() {
 			targets = filterRunnable(apps, *appsFilter)
 		}
 		opts := harness.E2Options{Messages: *messages, Warmup: *warmup, Repeats: *repeats,
-			Parallel: *parallel, Cache: cache, NoResolve: *noResolve, NoVM: *noVM}
+			Parallel: *parallel, Cache: cache, NoVM: *noVM}
 		fmt.Printf("measuring %d app(s) × 3 versions × %d messages on %d worker(s)...\n",
 			len(targets), opts.Messages, *parallel)
 		ms, err := harness.MeasureApps(targets, opts)
@@ -303,8 +303,7 @@ func main() {
 			traceCap = telemetry.DefaultTraceCapacity
 		}
 		res, err := harness.RunBreakdown(targets, harness.BreakdownOptions{
-			Messages: *messages, Parallel: *parallel, Cache: cache, TraceCapacity: traceCap,
-			NoResolve: *noResolve, NoVM: *noVM,
+			Messages: *messages, Parallel: *parallel, Cache: cache, TraceCapacity: traceCap, NoVM: *noVM,
 		})
 		if err != nil {
 			fatal(err)
@@ -339,7 +338,7 @@ func main() {
 		}
 		res, err := harness.RunChaos(targets, harness.ChaosOptions{
 			Seed: *faultSeed, Messages: *messages, Parallel: *parallel,
-			Cache: cache, Schedule: schedule, NoResolve: *noResolve, NoVM: *noVM,
+			Cache: cache, Schedule: schedule, NoVM: *noVM,
 		})
 		if err != nil {
 			fatal(err)
@@ -364,7 +363,7 @@ func main() {
 				fatal(err)
 			}
 		}
-		res, err := harness.RunCrashCorpus(harness.CrashOptions{Parallel: *parallel, Schedule: schedule, NoResolve: *noResolve, NoVM: *noVM})
+		res, err := harness.RunCrashCorpus(harness.CrashOptions{Parallel: *parallel, Schedule: schedule, NoVM: *noVM})
 		if err != nil {
 			fatal(err)
 		}
@@ -378,7 +377,7 @@ func main() {
 	}
 
 	if *attack {
-		res, err := harness.RunAttackCorpus(harness.AttackOptions{Parallel: *parallel, NoResolve: *noResolve, NoVM: *noVM})
+		res, err := harness.RunAttackCorpus(harness.AttackOptions{Parallel: *parallel, NoVM: *noVM})
 		if err != nil {
 			fatal(err)
 		}
@@ -396,7 +395,7 @@ func main() {
 
 	if *gen > 0 {
 		res, err := harness.RunGenCorpus(harness.GenOptions{
-			N: *gen, Seed: *genSeed, Parallel: *parallel, NoResolve: *noResolve, NoVM: *noVM,
+			N: *gen, Seed: *genSeed, Parallel: *parallel, NoVM: *noVM,
 		})
 		if err != nil {
 			fatal(err)

@@ -247,7 +247,6 @@ func cmdRun(args []string) error {
 	metrics := fs.Bool("metrics", false, "print the telemetry metrics table after the run")
 	traceOut := fs.String("trace", "", "write the structured event trace to this file (chrome-trace format with a .chrome.json suffix, JSON otherwise)")
 	profileOut := fs.String("profile", "", "write a pprof CPU profile of the run to this file")
-	noResolve := fs.Bool("noresolve", false, "run on the map-walk env with resolver fast paths disabled (A/B escape hatch)")
 	noVM := fs.Bool("novm", false, "run on the tree-walking evaluator with the bytecode VM disabled (differential oracle)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -291,7 +290,6 @@ func cmdRun(args []string) error {
 		}
 	}
 	opts.FailClosed = *failClosed
-	opts.NoResolve = *noResolve
 	opts.NoVM = *noVM
 	if *metrics {
 		opts.Metrics = telemetry.NewMetrics()

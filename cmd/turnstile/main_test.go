@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -97,17 +98,36 @@ func TestCmdInstrument(t *testing.T) {
 	}
 }
 
+// TestCmdRun runs an app on the default VM and on the -novm tree-walker:
+// both print the same report. The retired map-walk engine flag must be
+// rejected as unknown; that check re-executes the test binary, because an
+// unknown flag exits the process.
 func TestCmdRun(t *testing.T) {
+	if args := os.Getenv("TURNSTILE_TEST_RUN_ARGS"); args != "" {
+		cmdRun(strings.Fields(args))
+		os.Exit(0)
+	}
 	app := writeTemp(t, "app.js", testApp)
 	pol := writeTemp(t, "policy.json", testPolicy)
-	out, err := capture(t, func() error {
-		return cmdRun([]string{"-policy", pol, "-messages", "3", app})
-	})
-	if err != nil {
-		t.Fatal(err)
+	var outs []string
+	for _, engine := range [][]string{nil, {"-novm"}} {
+		out, err := capture(t, func() error {
+			return cmdRun(append(append([]string{"-policy", pol, "-messages", "3"}, engine...), app))
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs = append(outs, out)
 	}
-	if !strings.Contains(out, "sink writes: 3") {
-		t.Fatalf("out = %q", out)
+	if !strings.Contains(outs[0], "sink writes: 3") || outs[1] != outs[0] {
+		t.Fatalf("default run:\n%s-novm run:\n%s", outs[0], outs[1])
+	}
+	retired := "-no" + "resolve"
+	cmd := exec.Command(os.Args[0], "-test.run=^TestCmdRun$")
+	cmd.Env = append(os.Environ(), "TURNSTILE_TEST_RUN_ARGS="+retired+" "+app)
+	out, err := cmd.CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "flag provided but not defined: "+retired) {
+		t.Fatalf("%s not rejected as an unknown flag (err %v):\n%s", retired, err, out)
 	}
 }
 

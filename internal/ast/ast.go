@@ -114,6 +114,10 @@ type Program struct {
 	// MaxID is one past the largest node ID in the tree; the instrumentor
 	// allocates synthetic node IDs starting here.
 	MaxID int
+	// Resolved is set by the scope resolver. The interpreter sizes its
+	// inline caches only for resolved programs, so an unresolved parse
+	// runs on the map-walk environment with no slot or cache fast paths.
+	Resolved bool
 }
 
 func (*Program) stmtNode() {}

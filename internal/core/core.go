@@ -57,19 +57,15 @@ type Options struct {
 	// the runtime before deployment, so load-time host operations are
 	// subject to the schedule too.
 	Faults *faults.Schedule
-	// NoResolve skips the static scope-resolution pass on the deployed
-	// programs and disables the interpreter's slot/inline-cache fast
-	// paths, restoring the pure map-walk execution for A/B comparison.
-	NoResolve bool
 	// NoVM disables the bytecode VM on the deployed runtime, keeping the
 	// tree-walking evaluator (the differential oracle) as the execution
-	// engine. Implied by NoResolve — the VM builds on resolved programs.
+	// engine.
 	NoVM bool
 	// ArtifactCache, when non-nil, serves instrumented programs from the
 	// content-addressed compiled-bytecode cache: N deployments of the same
 	// instrumented source (e.g. serve tenants of one app) share one
-	// re-parse + resolve + compile. Ignored under NoResolve/NoVM, whose
-	// execution modes never touch compiled artifacts.
+	// re-parse + resolve + compile. Ignored under NoVM, which never
+	// touches compiled artifacts.
 	ArtifactCache *vm.Cache
 }
 
@@ -128,7 +124,6 @@ func Manage(sources map[string]string, policyJSON string, opts Options) (*Manage
 	}
 
 	ip := interp.New()
-	ip.NoResolve = opts.NoResolve
 	ip.NoVM = opts.NoVM
 	if opts.Faults != nil {
 		ip.InstallFaults(opts.Faults)
@@ -197,20 +192,18 @@ func Manage(sources map[string]string, policyJSON string, opts Options) (*Manage
 			if err != nil {
 				return nil, fmt.Errorf("core: instrumented %s does not re-parse: %w", f.Name, err)
 			}
-			if !opts.NoResolve {
-				// resolution must run on the re-parsed program: annotations do
-				// not survive printing
-				r := resolve.Resolve(prog)
-				if opts.Metrics != nil {
-					opts.Metrics.Add(telemetry.CtrResolveScopes, int64(r.Scopes))
-					opts.Metrics.Add(telemetry.CtrResolveSlots, int64(r.Slots))
-					opts.Metrics.Add(telemetry.CtrResolveResolved, int64(r.Resolved))
-					opts.Metrics.Add(telemetry.CtrResolveDynamic, int64(r.Dynamic))
-				}
+			// resolution must run on the re-parsed program: annotations do
+			// not survive printing
+			r := resolve.Resolve(prog)
+			if opts.Metrics != nil {
+				opts.Metrics.Add(telemetry.CtrResolveScopes, int64(r.Scopes))
+				opts.Metrics.Add(telemetry.CtrResolveSlots, int64(r.Slots))
+				opts.Metrics.Add(telemetry.CtrResolveResolved, int64(r.Resolved))
+				opts.Metrics.Add(telemetry.CtrResolveDynamic, int64(r.Dynamic))
 			}
 			return prog, nil
 		}
-		if opts.ArtifactCache != nil && !opts.NoResolve && !opts.NoVM {
+		if opts.ArtifactCache != nil && !opts.NoVM {
 			prog, mod, err := opts.ArtifactCache.Load(f.Name, src, build)
 			if err != nil {
 				return nil, err

@@ -7,7 +7,7 @@
 // (MustCatch) and the sanctioned flows that must stay clean (MustAllow).
 // The harness runs them with exhaustive instrumentation, implicit flows and
 // the tracker in audit mode, then scores precision/recall against the
-// ground truth; scripts/verify.sh gates on zero missed must-catch flows.
+// ground truth; TestReportMatrix gates on zero missed must-catch flows.
 package corpus
 
 import (

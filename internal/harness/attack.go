@@ -16,17 +16,14 @@ import (
 // matching violation is a missed flow (a real leak the tracker let
 // through); a must-allow prefix with a matching violation is a false
 // positive (a sanctioned flow the tracker flagged). The rendered table is
-// deterministic and byte-identical at any worker count; verify.sh gates on
-// zero missed flows.
+// deterministic and byte-identical at any worker count; TestReportMatrix
+// gates on zero missed flows.
 
 // AttackOptions configures an attack-corpus run.
 type AttackOptions struct {
 	// Parallel is the worker count; 0 selects GOMAXPROCS, 1 runs
 	// sequentially. The report is byte-identical either way.
 	Parallel int
-	// NoResolve deploys each app on the map-walk interpreter (A/B escape
-	// hatch, as in the crash harness).
-	NoResolve bool
 	// NoVM deploys each app on the tree-walking evaluator (-novm).
 	NoVM bool
 }
@@ -96,7 +93,6 @@ func attackOne(aa *corpus.AttackApp, opts AttackOptions) (AttackAppResult, error
 	copts.Mode = instrument.Exhaustive
 	copts.ImplicitFlows = true
 	copts.Enforce = false // audit: the whole attack executes, every violation is recorded
-	copts.NoResolve = opts.NoResolve
 	copts.NoVM = opts.NoVM
 	app, err := core.Manage(map[string]string{aa.Name + ".js": aa.Source}, aa.Policy, copts)
 	if err != nil {
@@ -130,7 +126,7 @@ func attackOne(aa *corpus.AttackApp, opts AttackOptions) (AttackAppResult, error
 
 // RenderAttack formats the precision/recall report. No durations or other
 // host-dependent values: one build renders it byte-identically at any
-// -parallel level, so the determinism gates compare it directly.
+// -parallel level, so TestReportMatrix compares it directly.
 func RenderAttack(res *AttackResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Attack corpus: %d adversarial apps (exhaustive instrumentation, implicit flows, audit mode)\n", len(res.Apps))

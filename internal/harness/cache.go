@@ -14,28 +14,6 @@ import (
 	"turnstile/internal/vm"
 )
 
-// ExecMode identifies the execution engine a pipeline artifact is
-// prepared for. It is part of the cache key: a compiled bytecode module
-// must never be served to a -novm (tree-walker) or -noresolve (map-walk)
-// run, mirroring the policy-aliasing keying fix — aliasing execution
-// modes onto one entry is how a differential harness silently stops
-// being differential.
-type ExecMode struct {
-	NoResolve bool
-	NoVM      bool
-}
-
-func (m ExecMode) String() string {
-	switch {
-	case m.NoResolve:
-		return "noresolve"
-	case m.NoVM:
-		return "walker"
-	default:
-		return "vm"
-	}
-}
-
 // PipelineCache memoizes the front half of the experiment pipeline per
 // application: the parsed AST and the dataflow-analysis result, keyed by a
 // hash of the source text (plus the analysis options), with the baseline
@@ -65,11 +43,13 @@ type cacheEntry struct {
 	once     sync.Once
 	prog     *ast.Program
 	analysis *taint.Result
-	mod      *vm.Module // compiled bytecode; only for ExecMode vm entries
 	err      error
 
-	// the baseline result is only needed by E1, so it is computed lazily
-	// under its own once.
+	// the compiled bytecode is only needed by VM preparations and the
+	// baseline result only by E1, so each is computed lazily under its
+	// own once: a -novm run or an E1 rerun never compiles bytecode.
+	modOnce  sync.Once
+	mod      *vm.Module
 	baseOnce sync.Once
 	base     *baseline.Result
 }
@@ -94,22 +74,19 @@ func (c *PipelineCache) Stats() CacheStats {
 }
 
 // cacheKey hashes the identity of one pipeline run: file name, source
-// text, the analysis configuration, and the execution mode the artifact
-// is prepared for.
-func cacheKey(file, source string, opts taint.Options, mode ExecMode) string {
+// text and the analysis configuration.
+func cacheKey(file, source string, opts taint.Options) string {
 	h := sha256.New()
 	h.Write([]byte(file))
 	h.Write([]byte{0})
 	h.Write([]byte(source))
 	h.Write([]byte{0})
-	h.Write([]byte(mode.String()))
-	h.Write([]byte{0})
 	fmt.Fprintf(h, "%+v", opts)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func (c *PipelineCache) entry(file, source string, opts taint.Options, mode ExecMode) *cacheEntry {
-	key := cacheKey(file, source, opts, mode)
+func (c *PipelineCache) entry(file, source string, opts taint.Options) *cacheEntry {
+	key := cacheKey(file, source, opts)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.entries[key]
@@ -123,53 +100,40 @@ func (c *PipelineCache) entry(file, source string, opts taint.Options, mode Exec
 	return e
 }
 
-func (e *cacheEntry) analyze(file, source string, opts taint.Options, mode ExecMode) (*ast.Program, *taint.Result, error) {
+func (e *cacheEntry) analyze(file, source string, opts taint.Options) (*ast.Program, *taint.Result, error) {
 	e.once.Do(func() {
 		prog, err := parser.Parse(file, source)
 		if err != nil {
 			e.err = err
 			return
 		}
-		// annotate before publication: the entry stays immutable afterwards.
-		// Annotations are inert on interpreters running with NoResolve, and
-		// entries are keyed by execution mode, so no mode ever observes an
-		// artifact prepared for another.
+		// annotate before publication: the entry stays immutable afterwards
 		resolve.Resolve(prog)
 		e.prog = prog
 		e.analysis = taint.Analyze([]taint.File{{Name: file, Prog: prog}}, opts)
-		if !mode.NoResolve && !mode.NoVM {
-			// VM entries carry the compiled bytecode so every worker sharing
-			// the cache shares one compile of the program
-			e.mod = vm.Compile(prog)
-		}
 	})
 	return e.prog, e.analysis, e.err
 }
 
-// Analyzed returns the parsed AST and dataflow analysis for one source
-// file, computing them on first use. The returned values are shared and
-// must be treated as read-only. The entry is keyed for the default (VM)
-// execution mode; use AnalyzedMode for the tree-walk or map-walk engines.
-func (c *PipelineCache) Analyzed(file, source string, opts taint.Options) (*ast.Program, *taint.Result, error) {
-	prog, analysis, _, err := c.AnalyzedMode(file, source, opts, ExecMode{})
-	return prog, analysis, err
+// module returns the entry's compiled bytecode, compiling it on first
+// use so every VM worker sharing the cache shares one compile.
+func (e *cacheEntry) module() *vm.Module {
+	e.modOnce.Do(func() { e.mod = vm.Compile(e.prog) })
+	return e.mod
 }
 
-// AnalyzedMode is Analyzed keyed by execution mode; for the VM mode the
-// compiled bytecode module for the cached program is returned alongside
-// (nil in the other modes — a -novm run must never receive a compiled
-// artifact).
-func (c *PipelineCache) AnalyzedMode(file, source string, opts taint.Options, mode ExecMode) (*ast.Program, *taint.Result, *vm.Module, error) {
-	e := c.entry(file, source, opts, mode)
-	prog, analysis, err := e.analyze(file, source, opts, mode)
-	return prog, analysis, e.mod, err
+// Analyzed returns the parsed, resolved AST and dataflow analysis for one
+// source file, computing them on first use. The returned values are
+// shared and must be treated as read-only.
+func (c *PipelineCache) Analyzed(file, source string, opts taint.Options) (*ast.Program, *taint.Result, error) {
+	return c.entry(file, source, opts).analyze(file, source, opts)
 }
 
 // Baseline returns the CodeQL-equivalent baseline result for one source
 // file, computing it (and the parse, if needed) on first use.
 func (c *PipelineCache) Baseline(file, source string, opts taint.Options) (*baseline.Result, error) {
-	e := c.entry(file, source, opts, ExecMode{})
-	if _, _, err := e.analyze(file, source, opts, ExecMode{}); err != nil {
+	e := c.entry(file, source, opts)
+	if _, _, err := e.analyze(file, source, opts); err != nil {
 		return nil, err
 	}
 	e.baseOnce.Do(func() {
@@ -179,15 +143,22 @@ func (c *PipelineCache) Baseline(file, source string, opts taint.Options) (*base
 }
 
 // analyzedApp resolves one corpus app through the cache, or directly when
-// cache is nil.
-func analyzedApp(cache *PipelineCache, file, source string, opts taint.Options, mode ExecMode) (*ast.Program, *taint.Result, *vm.Module, error) {
-	if cache != nil {
-		return cache.AnalyzedMode(file, source, opts, mode)
+// cache is nil. With a cache and the VM on, the cache's compiled module
+// for the program is returned too (nil otherwise: a -novm run never
+// receives a compiled artifact).
+func analyzedApp(cache *PipelineCache, file, source string, opts taint.Options, noVM bool) (*ast.Program, *taint.Result, *vm.Module, error) {
+	if cache == nil {
+		prog, err := parser.Parse(file, source)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		resolve.Resolve(prog)
+		return prog, taint.Analyze([]taint.File{{Name: file, Prog: prog}}, opts), nil, nil
 	}
-	prog, err := parser.Parse(file, source)
-	if err != nil {
-		return nil, nil, nil, err
+	e := cache.entry(file, source, opts)
+	prog, analysis, err := e.analyze(file, source, opts)
+	if err != nil || noVM {
+		return prog, analysis, nil, err
 	}
-	resolve.Resolve(prog)
-	return prog, taint.Analyze([]taint.File{{Name: file, Prog: prog}}, opts), nil, nil
+	return prog, analysis, e.module(), nil
 }

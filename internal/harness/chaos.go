@@ -32,9 +32,6 @@ type ChaosOptions struct {
 	// Schedule, when non-nil, replaces the generated per-app schedules
 	// with one fixed schedule for every app (the -faultschedule file).
 	Schedule *faults.Schedule
-	// NoResolve runs every version on the map-walk interpreter with the
-	// resolver fast paths disabled (A/B escape hatch).
-	NoResolve bool
 	// NoVM runs every version on the tree-walking evaluator (-novm).
 	NoVM bool
 }
@@ -91,7 +88,7 @@ type chaosVersion struct {
 }
 
 func chaosApp(app *corpus.App, opts ChaosOptions) (ChaosAppResult, error) {
-	prep, err := PrepareAppMode(app, opts.Cache, ExecMode{NoResolve: opts.NoResolve, NoVM: opts.NoVM})
+	prep, err := PrepareApp(app, opts.Cache, opts.NoVM)
 	if err != nil {
 		return ChaosAppResult{}, fmt.Errorf("harness: %s: %w", app.Name, err)
 	}
@@ -160,7 +157,7 @@ func diffVersions(orig, v *chaosVersion) string {
 
 // RenderChaos formats the chaos report. The output contains no measured
 // durations, so it is byte-identical across runs and worker counts for
-// one seed — the determinism gates compare it directly.
+// one seed — TestReportMatrix compares it directly.
 func RenderChaos(res *ChaosResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Chaos replay: seed %d, %d messages per version\n", res.Seed, res.Messages)

@@ -35,9 +35,10 @@ func TestChaosEquivalenceAllApps(t *testing.T) {
 	}
 }
 
-// TestChaosDeterministicAcrossParallel asserts the acceptance criterion:
-// one -faultseed produces a byte-identical chaos report at any worker
-// count, run after run.
+// TestChaosDeterministicAcrossParallel: one -faultseed produces a
+// byte-identical chaos report run after run, and another seed changes it.
+// The same report at other worker counts and on the tree-walker is a row
+// of TestReportMatrix.
 func TestChaosDeterministicAcrossParallel(t *testing.T) {
 	apps := corpus.Runnable(corpus.All())[:6]
 	cache := NewCache()
@@ -49,9 +50,6 @@ func TestChaosDeterministicAcrossParallel(t *testing.T) {
 		return RenderChaos(res)
 	}
 	seq := render(1)
-	if par := render(4); par != seq {
-		t.Fatalf("parallel run diverged:\n--- sequential\n%s--- parallel\n%s", seq, par)
-	}
 	if again := render(1); again != seq {
 		t.Fatal("repeated run diverged")
 	}

@@ -33,7 +33,7 @@ type replaySignature struct {
 // replayApp prepares one app (optionally through a shared cache) and
 // feeds it msgs messages on all three versions.
 func replayApp(app *corpus.App, cache *PipelineCache, msgs int) (replaySignature, error) {
-	prep, err := PrepareAppCached(app, cache)
+	prep, err := PrepareApp(app, cache, false)
 	if err != nil {
 		return replaySignature{}, err
 	}

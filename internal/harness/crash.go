@@ -87,9 +87,6 @@ type CrashOptions struct {
 	// Schedule, when non-nil, additionally injects faults while the
 	// adversarial programs run (the -chaos composition).
 	Schedule *faults.Schedule
-	// NoResolve deploys each app on the map-walk interpreter with the
-	// resolver fast paths disabled (A/B escape hatch).
-	NoResolve bool
 	// NoVM deploys each app on the tree-walking evaluator (-novm).
 	NoVM bool
 }
@@ -143,7 +140,6 @@ func crashOne(ca CrashApp, opts CrashOptions) (CrashAppResult, error) {
 	copts.Guard = &lim
 	copts.FailClosed = true
 	copts.Faults = opts.Schedule
-	copts.NoResolve = opts.NoResolve
 	copts.NoVM = opts.NoVM
 	_, runErr := core.Manage(map[string]string{ca.Name + ".js": string(src)}, pol, copts)
 	kind, detail := ClassifyCrash(runErr)
@@ -192,7 +188,7 @@ func firstLine(s string) string {
 
 // RenderCrash formats the crash report. It contains no durations or other
 // host-dependent values, so one build renders it byte-identically at any
-// -parallel level — the determinism gates compare it directly.
+// -parallel level — TestReportMatrix compares it directly.
 func RenderCrash(res *CrashCorpusResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Crash corpus: %d adversarial apps under fuel=%d depth=%d alloc=%d deadline=%d\n",

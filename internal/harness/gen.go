@@ -17,7 +17,7 @@ import (
 // violations are matched against the built-in must-catch/must-allow
 // ground truth. The report groups scores by stratum so a regression in
 // one flow family is visible as that family's row, and is byte-identical
-// at any worker count; verify.sh gates on zero missed flows.
+// at any worker count; TestReportMatrix gates on zero missed flows.
 
 // GenOptions configures a generated-corpus run.
 type GenOptions struct {
@@ -29,8 +29,6 @@ type GenOptions struct {
 	// Parallel is the worker count; 0 selects GOMAXPROCS, 1 runs
 	// sequentially. The report is byte-identical either way.
 	Parallel int
-	// NoResolve deploys each app on the map-walk interpreter.
-	NoResolve bool
 	// NoVM deploys each app on the tree-walking evaluator (-novm).
 	NoVM bool
 }
@@ -137,7 +135,6 @@ func genOne(ga *corpus.GenApp, opts GenOptions) (GenAppResult, error) {
 	copts.Mode = instrument.Exhaustive
 	copts.ImplicitFlows = true
 	copts.Enforce = false // audit: the whole app executes, every violation is recorded
-	copts.NoResolve = opts.NoResolve
 	copts.NoVM = opts.NoVM
 	app, err := core.Manage(ga.Files, ga.Policy, copts)
 	if err != nil {
@@ -180,7 +177,7 @@ func genOne(ga *corpus.GenApp, opts GenOptions) (GenAppResult, error) {
 
 // RenderGen formats the stratified precision/recall report. No durations
 // or other host-dependent values: one build renders it byte-identically
-// at any -parallel level, so the determinism gates compare it directly.
+// at any -parallel level, so TestReportMatrix compares it directly.
 func RenderGen(res *GenResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Generated corpus: %d apps, seed %d (exhaustive instrumentation, implicit flows, audit mode)\n",

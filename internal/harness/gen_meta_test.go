@@ -48,9 +48,9 @@ func genValue(v any, depth int) string {
 
 // The metamorphic battery: every generated stratum, at many seeds, is run
 // under pairs of configurations that must be observably equivalent —
-// slot-env vs map-walk interpretation, flat vs mirrored-CNF policies,
-// selective vs exhaustive instrumentation transparency, chaos replay
-// under a shared fault schedule, and fail-closed crash agreement. The
+// bytecode VM vs tree-walker (also in fail-closed crash agreement), flat
+// vs mirrored-CNF policies, selective vs exhaustive instrumentation
+// transparency, and chaos replay under a shared fault schedule. The
 // generator gives these relations breadth the hand-written corpora cannot:
 // every (stratum, seed) coordinate is a fresh application.
 
@@ -82,7 +82,6 @@ func metaApps(t *testing.T) []*corpus.GenApp {
 // genVariant is one deployment configuration of a generated app.
 type genVariant struct {
 	mode       instrument.Mode
-	noResolve  bool
 	noVM       bool
 	policy     string // empty selects ga.Policy
 	schedule   *faults.Schedule
@@ -101,7 +100,6 @@ func genRun(ga *corpus.GenApp, v genVariant, labelFree bool) string {
 	copts.Mode = v.mode
 	copts.ImplicitFlows = true
 	copts.Enforce = v.enforce
-	copts.NoResolve = v.noResolve
 	copts.NoVM = v.noVM
 	copts.Faults = v.schedule
 	copts.Guard = v.limits
@@ -171,21 +169,6 @@ func requireAgreement(t *testing.T, what string, apps []*corpus.GenApp, a, b fun
 				firstDiffContext(p.left, p.right), firstDiffContext(p.right, p.left))
 		}
 	}
-}
-
-// TestGenMetamorphicSlotMap: the slot-env fast path and the -noresolve
-// map walk must be observably identical on every generated app — writes,
-// violations with full label text, and tracker statistics.
-func TestGenMetamorphicSlotMap(t *testing.T) {
-	apps := metaApps(t)
-	base := genVariant{mode: instrument.Exhaustive}
-	requireAgreement(t, "slot≡map", apps,
-		func(ga *corpus.GenApp) string { return genRun(ga, base, false) },
-		func(ga *corpus.GenApp) string {
-			v := base
-			v.noResolve = true
-			return genRun(ga, v, false)
-		})
 }
 
 // TestGenMetamorphicVMWalker: the bytecode VM and the -novm tree-walker
@@ -284,21 +267,4 @@ func TestGenMetamorphicChaos(t *testing.T) {
 	requireAgreement(t, "chaos sel≡exh", apps,
 		func(ga *corpus.GenApp) string { return digest(ga, instrument.Selective) },
 		func(ga *corpus.GenApp) string { return digest(ga, instrument.Exhaustive) })
-}
-
-// TestGenMetamorphicCrashAgreement: under a tight guard budget with the
-// tracker fail-closed and enforcement on, the slot and map interpreters
-// must agree on the entire outcome — including which budget error (if
-// any) kills the app and what was written before it died.
-func TestGenMetamorphicCrashAgreement(t *testing.T) {
-	apps := metaApps(t)
-	lim := guard.Limits{Fuel: 60_000, MaxDepth: 64, MaxAlloc: 1 << 16}
-	base := genVariant{mode: instrument.Exhaustive, limits: &lim, failClosed: true, enforce: true}
-	requireAgreement(t, "crash slot≡map", apps,
-		func(ga *corpus.GenApp) string { return genRun(ga, base, false) },
-		func(ga *corpus.GenApp) string {
-			v := base
-			v.noResolve = true
-			return genRun(ga, v, false)
-		})
 }

@@ -35,41 +35,3 @@ func TestGenCorpusSeedSweep(t *testing.T) {
 		}
 	}
 }
-
-// TestGenCorpusDeterministic: the rendered report is byte-identical
-// regardless of worker count — sequential, default, and an oversubscribed
-// pool all produce the same bytes, so verify.sh can cmp them directly.
-func TestGenCorpusDeterministic(t *testing.T) {
-	render := func(parallel int) string {
-		res, err := RunGenCorpus(GenOptions{N: 56, Seed: 3, Parallel: parallel})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return RenderGen(res)
-	}
-	seq := render(1)
-	for _, p := range []int{0, 8} {
-		if got := render(p); got != seq {
-			t.Fatalf("report diverges between -parallel 1 and -parallel %d:\n%s",
-				p, firstDiffContext(seq, got))
-		}
-	}
-}
-
-// TestGenCorpusNoResolveAgreement: scoring on the map-walk interpreter
-// must reproduce the slot-compiled report byte for byte — the generator
-// doubles as a differential workload for the resolver.
-func TestGenCorpusNoResolveAgreement(t *testing.T) {
-	run := func(noResolve bool) string {
-		res, err := RunGenCorpus(GenOptions{N: 56, Seed: 3, NoResolve: noResolve})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return RenderGen(res)
-	}
-	slot, mapWalk := run(false), run(true)
-	if slot != mapWalk {
-		t.Fatalf("report diverges between slot and -noresolve runs:\n%s",
-			firstDiffContext(slot, mapWalk))
-	}
-}

@@ -260,9 +260,6 @@ type E2Options struct {
 	// Cache, when non-nil, memoizes each app's parse + analysis across
 	// PrepareApp calls and experiment reruns.
 	Cache *PipelineCache
-	// NoResolve runs every version on the map-walk interpreter with the
-	// resolver fast paths disabled (A/B escape hatch).
-	NoResolve bool
 	// NoVM runs every version on the tree-walking evaluator with the
 	// bytecode VM disabled (the -novm escape hatch).
 	NoVM bool
@@ -285,7 +282,7 @@ func DefaultE2Options() E2Options {
 func MeasureApps(apps []*corpus.App, opts E2Options) ([]AppMeasurement, error) {
 	if opts.Messages == 0 {
 		d := DefaultE2Options()
-		d.Parallel, d.Cache, d.NoResolve, d.NoVM = opts.Parallel, opts.Cache, opts.NoResolve, opts.NoVM
+		d.Parallel, d.Cache, d.NoVM = opts.Parallel, opts.Cache, opts.NoVM
 		opts = d
 	}
 	runnable := corpus.Runnable(apps)
@@ -300,7 +297,7 @@ func MeasureApps(apps []*corpus.App, opts E2Options) ([]AppMeasurement, error) {
 
 // MeasureApp measures one app's three versions.
 func MeasureApp(app *corpus.App, opts E2Options) (*AppMeasurement, error) {
-	prep, err := PrepareAppMode(app, opts.Cache, ExecMode{NoResolve: opts.NoResolve, NoVM: opts.NoVM})
+	prep, err := PrepareApp(app, opts.Cache, opts.NoVM)
 	if err != nil {
 		return nil, err
 	}

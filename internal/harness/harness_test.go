@@ -58,7 +58,7 @@ func TestRunE1HeadlineClaims(t *testing.T) {
 func TestPrepareAppVersions(t *testing.T) {
 	apps := corpus.All()
 	app := corpus.ByName(apps, "camera-archiver")
-	prep, err := PrepareApp(app)
+	prep, err := PrepareApp(app, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestPrepareAppVersions(t *testing.T) {
 
 func TestPrepareNonRunnable(t *testing.T) {
 	app := corpus.ByName(corpus.All(), "dashboard-api")
-	if _, err := PrepareApp(app); err == nil {
+	if _, err := PrepareApp(app, nil, false); err == nil {
 		t.Fatal("expected error for non-runnable app")
 	}
 }
@@ -176,7 +176,7 @@ func TestPrepareAppBadPolicy(t *testing.T) {
 		PolicyJSON: "{not json",
 		SourceName: "none",
 	}
-	if _, err := PrepareApp(app); err == nil {
+	if _, err := PrepareApp(app, nil, false); err == nil {
 		t.Fatal("expected policy error")
 	}
 }
@@ -189,7 +189,7 @@ func TestPrepareAppMissingSource(t *testing.T) {
 		PolicyJSON: `{"rules":[]}`,
 		SourceName: "net.socket:ghost:1",
 	}
-	if _, err := PrepareApp(app); err == nil {
+	if _, err := PrepareApp(app, nil, false); err == nil {
 		t.Fatal("expected unknown-source error")
 	}
 }
@@ -214,7 +214,7 @@ sock.on("data", frame => { throw new Error("boom on " + frame); });
 
 func TestRunnerModes(t *testing.T) {
 	app := corpus.ByName(corpus.All(), "sensor-logger")
-	prep, err := PrepareApp(app)
+	prep, err := PrepareApp(app, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,10 +12,10 @@ import (
 )
 
 // Interpreter microbenchmarks comparing the slot-indexed environment fast
-// path against the map-walk fallback (the -noresolve escape hatch), and
-// the bytecode VM against both. Each workload is one MiniJS program
-// stressing a single interpreter dimension; the same parsed AST runs on
-// every execution mode (annotations are inert under NoResolve), so any
+// path against the map-walk fallback, and the bytecode VM against both.
+// Each workload is one MiniJS program stressing a single interpreter
+// dimension. The map walk is the tree-walker running an unresolved parse
+// of the same source: no slot coordinates and no inline caches, so any
 // delta is attributable to the environment representation, the inline
 // caches and the dispatch strategy alone.
 
@@ -105,7 +105,8 @@ for (let r = 0; r < 30; r = r + 1) {
 type MicrobenchResult struct {
 	Name string `json:"name"`
 	// SlotNs / MapNs are best-of-repeats wall times for one full program
-	// run on the resolved (slot) and -noresolve (map-walk) interpreters.
+	// run on the tree-walker over a resolved (slot) and an unresolved
+	// (map-walk) parse.
 	SlotNs int64 `json:"slot_ns"`
 	MapNs  int64 `json:"map_ns"`
 	// Speedup is MapNs / SlotNs (>1 means the slot path is faster).
@@ -131,11 +132,11 @@ func RunMicrobench(repeats int) (*MicrobenchReport, error) {
 	}
 	rep := &MicrobenchReport{Tool: "turnstile-bench -bench", Repeats: repeats}
 	for _, p := range MicrobenchPrograms {
-		slot, err := benchProgram(p.Name, p.Source, false, true, repeats)
+		slot, err := benchProgram(p.Name, p.Source, true, true, repeats)
 		if err != nil {
 			return nil, err
 		}
-		mp, err := benchProgram(p.Name, p.Source, true, true, repeats)
+		mp, err := benchProgram(p.Name, p.Source, false, true, repeats)
 		if err != nil {
 			return nil, err
 		}
@@ -149,8 +150,8 @@ func RunMicrobench(repeats int) (*MicrobenchReport, error) {
 }
 
 // VMMicrobenchResult is one workload's measurement across the three
-// execution modes: bytecode VM, slot-env tree-walker (-novm) and map-walk
-// tree-walker (-noresolve).
+// execution modes: bytecode VM, slot-env tree-walker (-novm) and the
+// tree-walker on an unresolved parse (map walk).
 type VMMicrobenchResult struct {
 	Name   string `json:"name"`
 	VMNs   int64  `json:"vm_ns"`
@@ -178,15 +179,15 @@ func RunVMMicrobench(repeats int) (*VMMicrobenchReport, error) {
 	}
 	rep := &VMMicrobenchReport{Tool: "turnstile-bench -benchvm", Repeats: repeats}
 	for _, p := range MicrobenchPrograms {
-		vmT, err := benchProgram(p.Name, p.Source, false, false, repeats)
+		vmT, err := benchProgram(p.Name, p.Source, true, false, repeats)
 		if err != nil {
 			return nil, err
 		}
-		slot, err := benchProgram(p.Name, p.Source, false, true, repeats)
+		slot, err := benchProgram(p.Name, p.Source, true, true, repeats)
 		if err != nil {
 			return nil, err
 		}
-		mp, err := benchProgram(p.Name, p.Source, true, true, repeats)
+		mp, err := benchProgram(p.Name, p.Source, false, true, repeats)
 		if err != nil {
 			return nil, err
 		}
@@ -200,7 +201,7 @@ func RunVMMicrobench(repeats int) (*VMMicrobenchReport, error) {
 	return rep, nil
 }
 
-// benchProgram parses (and, unless noResolve, resolves) one workload and
+// benchProgram parses (and, when resolved, resolves) one workload and
 // returns the best-of-repeats wall time of a full run on a fresh
 // interpreter in the requested execution mode. The AST is shared across
 // repeats — exactly how the pipeline cache shares programs — so parse
@@ -208,22 +209,21 @@ func RunVMMicrobench(repeats int) (*VMMicrobenchReport, error) {
 // repeat and is shared through the interpreter's program-module table
 // only within a repeat (each repeat gets a fresh interpreter, so compile
 // cost is included in every VM sample, biasing against the VM).
-func benchProgram(name, src string, noResolve, noVM bool, repeats int) (time.Duration, error) {
+func benchProgram(name, src string, resolved, noVM bool, repeats int) (time.Duration, error) {
 	prog, err := parser.Parse(name+".js", src)
 	if err != nil {
 		return 0, fmt.Errorf("harness: microbench %s: %w", name, err)
 	}
-	if !noResolve {
+	if resolved {
 		resolve.Resolve(prog)
 	}
 	best := time.Duration(0)
 	for r := 0; r < repeats; r++ {
 		ip := interp.New()
-		ip.NoResolve = noResolve
 		ip.NoVM = noVM
 		start := time.Now()
 		if err := ip.Run(prog); err != nil {
-			return 0, fmt.Errorf("harness: microbench %s (noresolve=%v novm=%v): %w", name, noResolve, noVM, err)
+			return 0, fmt.Errorf("harness: microbench %s (resolved=%v novm=%v): %w", name, resolved, noVM, err)
 		}
 		if d := time.Since(start); r == 0 || d < best {
 			best = d

@@ -24,7 +24,7 @@ func TestCachedAppsConcurrentLabelMutation(t *testing.T) {
 	// second preparation reuses the cached AST + analysis
 	var preps []*PreparedApp
 	for _, app := range []*corpus.App{apps[0], apps[1], apps[0], apps[1]} {
-		p, err := PrepareAppOpt(app, cache, false)
+		p, err := PrepareApp(app, cache, false)
 		if err != nil {
 			t.Fatal(err)
 		}

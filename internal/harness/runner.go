@@ -12,7 +12,6 @@ import (
 	"turnstile/internal/printer"
 	"turnstile/internal/resolve"
 	"turnstile/internal/taint"
-	"turnstile/internal/vm"
 )
 
 // Runner is one executable version of an application: an interpreter with
@@ -44,38 +43,19 @@ type PreparedApp struct {
 }
 
 // PrepareApp parses, analyzes, instruments and loads all three versions of
-// a runnable corpus app — the full Turnstile workflow of Fig. 3.
-func PrepareApp(app *corpus.App) (*PreparedApp, error) {
-	return PrepareAppCached(app, nil)
-}
-
-// PrepareAppCached is PrepareApp with an optional pipeline cache: the
-// parse and dataflow analysis are looked up (or computed once) in the
-// cache, and the cached AST — which every downstream stage treats as
-// read-only — is shared by the original version's interpreter instead of
-// being re-parsed. Safe to call from multiple goroutines with one shared
-// cache.
-func PrepareAppCached(app *corpus.App, cache *PipelineCache) (*PreparedApp, error) {
-	return PrepareAppOpt(app, cache, false)
-}
-
-// PrepareAppOpt is PrepareAppCached with an execution-mode switch:
-// noResolve runs all three versions on the map-walk interpreter with the
-// resolver fast paths disabled.
-func PrepareAppOpt(app *corpus.App, cache *PipelineCache, noResolve bool) (*PreparedApp, error) {
-	return PrepareAppMode(app, cache, ExecMode{NoResolve: noResolve})
-}
-
-// PrepareAppMode is the fully mode-aware preparation entry point: the
-// pipeline cache is keyed by the execution mode, all three versions run
-// on the selected engine, and in VM mode the original version reuses the
-// cache's compiled bytecode module.
-func PrepareAppMode(app *corpus.App, cache *PipelineCache, execMode ExecMode) (*PreparedApp, error) {
+// a runnable corpus app — the full Turnstile workflow of Fig. 3. cache,
+// when non-nil, serves the parse and dataflow analysis (computed once per
+// app) and shares the cached AST, which every downstream stage treats as
+// read-only, with the original version's interpreter; in VM mode the
+// original version also reuses the cache's compiled bytecode. noVM runs
+// all three versions on the tree-walking evaluator. Safe to call from
+// multiple goroutines with one shared cache.
+func PrepareApp(app *corpus.App, cache *PipelineCache, noVM bool) (*PreparedApp, error) {
 	if !app.Runnable {
 		return nil, fmt.Errorf("harness: app %s is not runnable", app.Name)
 	}
 	file := app.Name + ".js"
-	prog, analysis, mod, err := analyzedApp(cache, file, app.Source, taint.DefaultOptions(), execMode)
+	prog, analysis, mod, err := analyzedApp(cache, file, app.Source, taint.DefaultOptions(), noVM)
 	if err != nil {
 		return nil, err
 	}
@@ -83,17 +63,19 @@ func PrepareAppMode(app *corpus.App, cache *PipelineCache, execMode ExecMode) (*
 	prep := &PreparedApp{App: app, Analysis: analysis}
 
 	// original: no tracker, no instrumentation
-	orig, err := loadRunner(app, "original", prog, mod, false, execMode)
-	if err != nil {
+	ip := interp.New()
+	ip.NoVM = noVM
+	if mod != nil {
+		ip.RegisterCode(prog, mod)
+	}
+	if prep.Original, err = start(app, ip, prog, "original"); err != nil {
 		return nil, fmt.Errorf("original version: %w", err)
 	}
-	prep.Original = orig
 
 	// helper building an instrumented version
 	build := func(mode instrument.Mode, sel instrument.Selection) (*Runner, *instrument.Result, error) {
 		ip := interp.New()
-		ip.NoResolve = execMode.NoResolve
-		ip.NoVM = execMode.NoVM
+		ip.NoVM = noVM
 		pol, err := policy.ParseJSON([]byte(app.PolicyJSON), ip.CompileLabelFunc)
 		if err != nil {
 			return nil, nil, fmt.Errorf("policy: %w", err)
@@ -112,19 +94,11 @@ func PrepareAppMode(app *corpus.App, cache *PipelineCache, execMode ExecMode) (*
 		if err != nil {
 			return nil, nil, fmt.Errorf("instrumented output does not re-parse: %w", err)
 		}
-		if !execMode.NoResolve {
-			resolve.Resolve(inst)
-		}
+		resolve.Resolve(inst)
 		tr := ip.InstallTracker(pol)
 		tr.Enforce = false // audit mode for performance runs (§6.2)
-		if err := ip.Run(inst); err != nil {
-			return nil, nil, fmt.Errorf("running instrumented version: %w", err)
-		}
-		source, ok := ip.Source(app.SourceName)
-		if !ok {
-			return nil, nil, fmt.Errorf("source %q not registered (have %v)", app.SourceName, ip.SourceNames())
-		}
-		return &Runner{App: app, IP: ip, source: source, Mode: mode.String()}, res, nil
+		r, err := start(app, ip, inst, mode.String())
+		return r, res, err
 	}
 
 	sel := instrument.Selection(analysis.SelectionFor(file))
@@ -137,23 +111,9 @@ func PrepareAppMode(app *corpus.App, cache *PipelineCache, execMode ExecMode) (*
 	return prep, nil
 }
 
-// loadRunner loads an uninstrumented version from an already-parsed (and
-// possibly cache-shared) program; mod, when non-nil, is the cache-shared
-// compiled bytecode for prog.
-func loadRunner(app *corpus.App, mode string, prog *ast.Program, mod *vm.Module, withTracker bool, execMode ExecMode) (*Runner, error) {
-	ip := interp.New()
-	ip.NoResolve = execMode.NoResolve
-	ip.NoVM = execMode.NoVM
-	if mod != nil {
-		ip.RegisterCode(prog, mod)
-	}
-	if withTracker {
-		pol, err := policy.ParseJSON([]byte(app.PolicyJSON), ip.CompileLabelFunc)
-		if err != nil {
-			return nil, err
-		}
-		ip.InstallTracker(pol)
-	}
+// start runs one version's program on its interpreter and locates the
+// app's input source.
+func start(app *corpus.App, ip *interp.Interp, prog *ast.Program, mode string) (*Runner, error) {
 	if err := ip.Run(prog); err != nil {
 		return nil, err
 	}

@@ -15,7 +15,7 @@ import (
 // operations. The attribution is count-based with a fixed documented cost
 // model, never wall-clock-based, so the rendered table is byte-identical
 // across runs, worker counts and machines — the property the golden test
-// and the verify.sh determinism gates compare directly.
+// and TestReportMatrix compare directly.
 
 // OpOrder is the canonical tracker-op column order of the breakdown table.
 var OpOrder = []string{"label", "binaryOp", "assign", "check", "invoke", "track", "box"}
@@ -96,9 +96,6 @@ type BreakdownOptions struct {
 	// TraceCapacity > 0 also attaches a structured tracer to each version
 	// and exports the selective version's trace into the row.
 	TraceCapacity int
-	// NoResolve runs every version on the map-walk interpreter with the
-	// resolver fast paths disabled (A/B escape hatch).
-	NoResolve bool
 	// NoVM runs every version on the tree-walking evaluator (-novm).
 	NoVM bool
 }
@@ -123,7 +120,7 @@ func RunBreakdown(apps []*corpus.App, opts BreakdownOptions) (*BreakdownResult, 
 }
 
 func breakdownApp(app *corpus.App, opts BreakdownOptions) (BreakdownRow, error) {
-	prep, err := PrepareAppMode(app, opts.Cache, ExecMode{NoResolve: opts.NoResolve, NoVM: opts.NoVM})
+	prep, err := PrepareApp(app, opts.Cache, opts.NoVM)
 	if err != nil {
 		return BreakdownRow{}, fmt.Errorf("harness: %s: %w", app.Name, err)
 	}

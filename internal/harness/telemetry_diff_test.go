@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -47,7 +46,7 @@ type appObservation struct {
 // mutated by the pump, so versions are never reused across configs) and
 // records the observable outcome of each version under the given config.
 func observeApp(app *corpus.App, cache *PipelineCache, cfg telemetryConfig) (*appObservation, error) {
-	prep, err := PrepareAppCached(app, cache)
+	prep, err := PrepareApp(app, cache, false)
 	if err != nil {
 		return nil, err
 	}
@@ -150,36 +149,6 @@ func TestTelemetryDifferentialCorpus(t *testing.T) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// TestBreakdownDeterministicAcrossParallel asserts the -metrics output of
-// turnstile-bench — the rendered breakdown AND the exported selective
-// traces — is byte-identical between a sequential and an 8-worker run.
-func TestBreakdownDeterministicAcrossParallel(t *testing.T) {
-	apps := corpus.All()
-	cache := NewCache()
-	run := func(parallel int) *BreakdownResult {
-		res, err := RunBreakdown(apps, BreakdownOptions{
-			Messages: diffMessages, Parallel: parallel, Cache: cache,
-			TraceCapacity: telemetry.DefaultTraceCapacity,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	seq, par := run(1), run(8)
-	if a, b := RenderBreakdown(seq), RenderBreakdown(par); a != b {
-		t.Errorf("rendered breakdown differs between parallel 1 and 8:\n--- parallel 1\n%s\n--- parallel 8\n%s", a, b)
-	}
-	if len(seq.Rows) != len(par.Rows) {
-		t.Fatalf("row counts differ: %d vs %d", len(seq.Rows), len(par.Rows))
-	}
-	for i := range seq.Rows {
-		if !bytes.Equal(seq.Rows[i].SelectiveTrace, par.Rows[i].SelectiveTrace) {
-			t.Errorf("%s: selective trace JSON differs between parallel 1 and 8", seq.Rows[i].App)
 		}
 	}
 }

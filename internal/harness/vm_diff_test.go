@@ -11,16 +11,17 @@ import (
 // The bytecode VM's corpus-wide semantics gates: the tree-walker is the
 // differential oracle, and the VM must be indistinguishable from it on
 // everything observable — sink traces, violations, tracker statistics,
-// console output, error outcomes — across every runnable app, at every
-// worker count, under fault injection and under the attack corpus.
+// console output, error outcomes — across every runnable app and at every
+// worker count. The rendered reports (chaos, breakdown, crash, attack,
+// gen) are compared across engines in report_matrix_test.go.
 
 // vmCorpusSignatures computes every runnable app's signature on one
 // engine with the given worker count.
-func vmCorpusSignatures(t *testing.T, mode ExecMode, parallel, messages int) []string {
+func vmCorpusSignatures(t *testing.T, noVM bool, parallel, messages int) []string {
 	t.Helper()
 	runnable := corpus.Runnable(corpus.All())
 	sigs, err := mapIndexed(len(runnable), parallel, func(i int) (string, error) {
-		return execModeSignature(runnable[i], nil, mode, messages)
+		return appSignature(runnable[i], nil, noVM, messages)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -38,8 +39,8 @@ func TestVMDifferentialFullCorpus(t *testing.T) {
 		t.Fatal("no runnable corpus apps")
 	}
 
-	vmSeq := vmCorpusSignatures(t, ExecMode{}, 1, messages)
-	walkSeq := vmCorpusSignatures(t, ExecMode{NoVM: true}, 1, messages)
+	vmSeq := vmCorpusSignatures(t, false, 1, messages)
+	walkSeq := vmCorpusSignatures(t, true, 1, messages)
 	for i := range vmSeq {
 		if vmSeq[i] != walkSeq[i] {
 			t.Errorf("%s: VM and tree-walker diverged:\n--- vm\n%s--- novm\n%s",
@@ -47,8 +48,8 @@ func TestVMDifferentialFullCorpus(t *testing.T) {
 		}
 	}
 
-	vmPar := vmCorpusSignatures(t, ExecMode{}, 8, messages)
-	walkPar := vmCorpusSignatures(t, ExecMode{NoVM: true}, 8, messages)
+	vmPar := vmCorpusSignatures(t, false, 8, messages)
+	walkPar := vmCorpusSignatures(t, true, 8, messages)
 	for i := range vmSeq {
 		if vmSeq[i] != vmPar[i] {
 			t.Errorf("%s: VM signature depends on worker count", runnable[i].Name)
@@ -59,12 +60,12 @@ func TestVMDifferentialFullCorpus(t *testing.T) {
 	}
 }
 
-// TestVMSharedCacheBothModes is the regression test for the pipeline
-// cache's ExecMode keying: one PipelineCache serves VM and tree-walker
-// preparations concurrently (run under -race in verify.sh). Before the
-// keying fix both modes aliased onto one entry, so whichever mode lost
-// the singleflight race executed the other's artifact and the harness
-// silently stopped being differential.
+// TestVMSharedCacheBothModes: one PipelineCache serves VM and tree-walker
+// preparations concurrently (go test -race covers the sharing). Both
+// engines share the entry's resolved AST, but only VM preparations may
+// receive its compiled bytecode: a walker run handed the module would
+// execute the VM and the harness would silently stop being
+// differential.
 func TestVMSharedCacheBothModes(t *testing.T) {
 	const messages = 25
 	cache := NewCache()
@@ -73,7 +74,7 @@ func TestVMSharedCacheBothModes(t *testing.T) {
 		runnable = runnable[:6]
 	}
 
-	modes := []ExecMode{{}, {NoVM: true}}
+	modes := []bool{false, true} // noVM
 	sigs := make([][]string, len(modes))
 	for m := range sigs {
 		sigs[m] = make([]string, len(runnable))
@@ -83,9 +84,9 @@ func TestVMSharedCacheBothModes(t *testing.T) {
 	for m, mode := range modes {
 		for i, app := range runnable {
 			wg.Add(1)
-			go func(m, i int, mode ExecMode, app *corpus.App) {
+			go func(m, i int, noVM bool, app *corpus.App) {
 				defer wg.Done()
-				sig, err := execModeSignature(app, cache, mode, messages)
+				sig, err := appSignature(app, cache, noVM, messages)
 				if err != nil {
 					errs <- err
 					return
@@ -106,66 +107,39 @@ func TestVMSharedCacheBothModes(t *testing.T) {
 		}
 	}
 
-	// artifact separation: the VM-mode entry carries compiled bytecode,
-	// the walker-mode entry must not
+	// artifact separation: a VM preparation receives the compiled
+	// bytecode, a walker preparation must not
 	app := runnable[0]
-	_, _, vmMod, err := cache.AnalyzedMode(app.Name+".js", app.Source, taint.DefaultOptions(), ExecMode{})
+	_, _, vmMod, err := analyzedApp(cache, app.Name+".js", app.Source, taint.DefaultOptions(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if vmMod == nil {
-		t.Error("VM-mode cache entry has no compiled module")
+		t.Error("VM preparation received no compiled module")
 	}
-	_, _, walkMod, err := cache.AnalyzedMode(app.Name+".js", app.Source, taint.DefaultOptions(), ExecMode{NoVM: true})
+	_, _, walkMod, err := analyzedApp(cache, app.Name+".js", app.Source, taint.DefaultOptions(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if walkMod != nil {
-		t.Error("walker-mode cache entry leaked a compiled module")
+		t.Error("walker preparation received a compiled module")
 	}
 }
 
-// TestVMChaosEquivalence replays the fault-injection battery on both
-// engines with the same seed: fault traces, message errors, surviving
-// sink writes and the three-version equivalence verdicts must agree
-// app for app.
-func TestVMChaosEquivalence(t *testing.T) {
-	apps := corpus.All()
-	vmRes, err := RunChaos(apps, ChaosOptions{Seed: 3, Messages: 8, Cache: NewCache()})
-	if err != nil {
+// TestE1CompilesNoBytecode: E1 (-figure10) only parses and analyzes, so
+// running it on a fresh cache must leave every entry without a compiled
+// module.
+func TestE1CompilesNoBytecode(t *testing.T) {
+	cache := NewCache()
+	if _, err := RunE1With(corpus.All(), E1Options{Cache: cache}); err != nil {
 		t.Fatal(err)
 	}
-	walkRes, err := RunChaos(apps, ChaosOptions{Seed: 3, Messages: 8, Cache: NewCache(), NoVM: true})
-	if err != nil {
-		t.Fatal(err)
+	if len(cache.entries) == 0 {
+		t.Fatal("E1 cached nothing")
 	}
-	if len(vmRes.Apps) != len(walkRes.Apps) {
-		t.Fatalf("app count: vm %d, walker %d", len(vmRes.Apps), len(walkRes.Apps))
-	}
-	for i, va := range vmRes.Apps {
-		wa := walkRes.Apps[i]
-		if va != wa {
-			t.Errorf("%s: chaos outcomes diverge:\nvm:     %+v\nwalker: %+v", va.App, va, wa)
+	for key, e := range cache.entries {
+		if e.mod != nil {
+			t.Errorf("cache entry %.12s holds a compiled module after E1", key)
 		}
-	}
-	if vmRes.Equivalent != walkRes.Equivalent {
-		t.Errorf("equivalent count: vm %d, walker %d", vmRes.Equivalent, walkRes.Equivalent)
-	}
-}
-
-// TestVMAttackEquivalence runs the adversarial corpus on both engines:
-// the rendered attack report (containment verdicts, violations, typed
-// failure classes) must be byte-identical.
-func TestVMAttackEquivalence(t *testing.T) {
-	vmRes, err := RunAttackCorpus(AttackOptions{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	walkRes, err := RunAttackCorpus(AttackOptions{Parallel: 1, NoVM: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vmTxt, walkTxt := RenderAttack(vmRes), RenderAttack(walkRes); vmTxt != walkTxt {
-		t.Errorf("attack report diverges between engines:\n--- vm\n%s--- novm\n%s", vmTxt, walkTxt)
 	}
 }

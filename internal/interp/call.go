@@ -27,7 +27,7 @@ func (ip *Interp) evalCall(x *ast.CallExpr, env *Env) (Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !mem.Computed && !ip.NoResolve {
+		if !mem.Computed {
 			if o, isObj := dift.Unwrap(recv).(*Object); isObj {
 				if fn, hit := ip.icMethod(mem, o, name); hit {
 					return ip.CallFunction(fn, o, args, x.Pos())

@@ -40,11 +40,9 @@ func (ip *Interp) RegisterCode(prog *ast.Program, mod *vm.Module) {
 
 // moduleFor returns the compiled module for a program, compiling on
 // demand. It returns nil — sending the caller down the tree-walking path
-// — when the VM is disabled or resolver fast paths are off (the VM
-// requires resolved coordinates to be worthwhile; -noresolve is the
-// map-walk oracle).
+// — when the VM is disabled.
 func (ip *Interp) moduleFor(prog *ast.Program) *vm.Module {
-	if ip.NoVM || ip.NoResolve {
+	if ip.NoVM {
 		return nil
 	}
 	if m, ok := ip.progMods[prog]; ok {
@@ -777,12 +775,14 @@ func (ip *Interp) runFrame(ch *vm.Chunk, env *Env, fr *vmFrame) (ctrlKind, Value
 			}
 			regs[in.A], ftag[in.A] = v, false
 		case vm.OpEvalExpr:
+			ip.vmDelegatedExpr++
 			v, err := ip.eval(ch.Consts[in.B].(ast.Expr), env)
 			if err != nil {
 				return ctrlNormal, nil, err
 			}
 			regs[in.A], ftag[in.A] = v, false
 		case vm.OpExecStmt:
+			ip.vmDelegatedStmt++
 			c, v, err := ip.execStmt(ch.Consts[in.A].(ast.Stmt), env)
 			if err != nil {
 				return ctrlNormal, nil, err
@@ -807,6 +807,7 @@ func (ip *Interp) runFrame(ch *vm.Chunk, env *Env, fr *vmFrame) (ctrlKind, Value
 				pc = int(e.PC) - 1
 			}
 		case vm.OpTry:
+			ip.vmDelegatedTry++
 			ti := ch.Consts[in.A].(*vm.TryInfo)
 			x := ti.Node
 			c, v, err := ip.runChunk(ti.Body, newEnvFor(env, x.Body.Scope))

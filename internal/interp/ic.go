@@ -121,26 +121,10 @@ func (ip *Interp) icMethod(node *ast.MemberExpr, o *Object, name string) (Value,
 	return nil, false
 }
 
-// EnvStats is a snapshot of the resolver fast-path counters.
-type EnvStats struct {
-	SlotReads, DynReads   int64
-	SlotWrites, DynWrites int64
-	ICHits, ICMisses      int64
-}
-
-// EnvStats returns the current fast-path counters without resetting them.
-func (ip *Interp) EnvStats() EnvStats {
-	return EnvStats{
-		SlotReads: ip.envSlotReads, DynReads: ip.envDynReads,
-		SlotWrites: ip.envSlotWrites, DynWrites: ip.envDynWrites,
-		ICHits: ip.icHits, ICMisses: ip.icMisses,
-	}
-}
-
-// FlushEnvTelemetry moves the accumulated fast-path counters into the
-// attached metrics registry (under "interp.*", outside the "dift." prefix
-// rendered in overhead-breakdown tables) and resets them. No-op without a
-// registry.
+// FlushEnvTelemetry moves the accumulated fast-path and VM-coverage
+// counters into the attached metrics registry (under "interp.*", outside
+// the "dift." prefix rendered in overhead-breakdown tables) and resets
+// them. No-op without a registry.
 func (ip *Interp) FlushEnvTelemetry() {
 	m := ip.Metrics
 	if m == nil {
@@ -158,4 +142,7 @@ func (ip *Interp) FlushEnvTelemetry() {
 	flush(telemetry.CtrEnvDynWrites, &ip.envDynWrites)
 	flush(telemetry.CtrICHits, &ip.icHits)
 	flush(telemetry.CtrICMisses, &ip.icMisses)
+	flush(telemetry.CtrVMDelegatedExpr, &ip.vmDelegatedExpr)
+	flush(telemetry.CtrVMDelegatedStmt, &ip.vmDelegatedStmt)
+	flush(telemetry.CtrVMDelegatedTry, &ip.vmDelegatedTry)
 }

@@ -89,13 +89,8 @@ type Interp struct {
 	// whole process, so this cooperative cap must trip first. 0 disables
 	// (tests only).
 	MaxCallDepth int
-	// NoResolve disables the resolver fast paths (slot-indexed variable
-	// access and per-call-site inline caches) even on resolved programs,
-	// restoring the pure map-walk interpreter for A/B comparison.
-	NoResolve bool
 	// NoVM disables the bytecode VM, restoring the tree-walking
-	// evaluator as the execution engine (the differential oracle). The VM
-	// also stays off under NoResolve — it builds on resolved coordinates.
+	// evaluator as the execution engine (the differential oracle).
 	NoVM bool
 
 	steps       int64
@@ -146,6 +141,9 @@ type Interp struct {
 	envSlotReads, envDynReads   int64
 	envSlotWrites, envDynWrites int64
 	icHits, icMisses            int64
+	// VM coverage: delegated instructions executed, i.e. work the
+	// bytecode VM handed back to the tree-walker
+	vmDelegatedExpr, vmDelegatedStmt, vmDelegatedTry int64
 }
 
 // New creates an interpreter with the standard global environment and host
@@ -258,7 +256,7 @@ func (ip *Interp) Steps() int64 { return ip.steps }
 // Run parses nothing — it executes an already-parsed program in the global
 // scope.
 func (ip *Interp) Run(prog *ast.Program) error {
-	if !ip.NoResolve {
+	if prog.Resolved {
 		ip.ensureICs(prog.MaxID)
 	}
 	if ip.lastProg != prog {
@@ -764,7 +762,7 @@ func (ip *Interp) eval(e ast.Expr, env *Env) (Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !x.Computed && !ip.NoResolve {
+		if !x.Computed {
 			if o, isObj := dift.Unwrap(obj).(*Object); isObj {
 				if v, hit := ip.icRead(x, o, name); hit {
 					return v, nil

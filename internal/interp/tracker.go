@@ -332,10 +332,8 @@ func (ip *Interp) CompileLabelFunc(source string) (policy.LabelFunc, error) {
 	if err != nil {
 		return nil, fmt.Errorf("label function %q: %w", source, err)
 	}
-	if !ip.NoResolve {
-		resolve.Resolve(prog)
-		ip.ensureICs(prog.MaxID)
-	}
+	resolve.Resolve(prog)
+	ip.ensureICs(prog.MaxID)
 	env := NewEnv(ip.Globals)
 	if err := func() error {
 		c, _, err := ip.execStmts(prog.Body, env)

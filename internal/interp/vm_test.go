@@ -9,27 +9,27 @@ import (
 	"turnstile/internal/ast"
 	"turnstile/internal/parser"
 	"turnstile/internal/resolve"
+	"turnstile/internal/telemetry"
 	"turnstile/internal/vm"
 )
 
 // The bytecode VM must be observationally identical to the tree-walker:
 // same console output, same errors (message and position), same step
 // counts (charge parity). These tests run every source three ways — VM
-// (default), -novm tree-walk on slots, and -noresolve map walk — and
-// require exact agreement.
+// (default), -novm tree-walk on slots, and the tree-walker on an
+// unresolved parse (the map walk) — and require exact agreement.
 
-func runVMMode(t *testing.T, src string, noVM, noResolve bool) (*Interp, error) {
+func runVMMode(t *testing.T, src string, noVM, resolved bool) (*Interp, error) {
 	t.Helper()
 	prog, err := parser.Parse("vm.js", src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if !noResolve {
+	if resolved {
 		resolve.Resolve(prog)
 	}
 	ip := New()
 	ip.NoVM = noVM
-	ip.NoResolve = noResolve
 	return ip, ip.Run(prog)
 }
 
@@ -42,17 +42,17 @@ func vmTriModes(t *testing.T, src string) {
 		err   string
 		steps int64
 	}
-	obs := func(noVM, noResolve bool) out {
-		ip, err := runVMMode(t, src, noVM, noResolve)
+	obs := func(noVM, resolved bool) out {
+		ip, err := runVMMode(t, src, noVM, resolved)
 		o := out{logs: ip.ConsoleOut, steps: ip.Steps()}
 		if err != nil {
 			o.err = err.Error()
 		}
 		return o
 	}
-	vmOut := obs(false, false)
-	walkOut := obs(true, false)
-	mapOut := obs(true, true)
+	vmOut := obs(false, true)
+	walkOut := obs(true, true)
+	mapOut := obs(true, false)
 	if fmt.Sprint(vmOut.logs) != fmt.Sprint(walkOut.logs) || vmOut.err != walkOut.err {
 		t.Fatalf("vm/walker divergence\nvm:   %v err=%q\nwalk: %v err=%q\nsource:\n%s",
 			vmOut.logs, vmOut.err, walkOut.logs, walkOut.err, src)
@@ -472,5 +472,32 @@ func TestVMBudgetParity(t *testing.T) {
 	wkSteps, wkErr := trip(true)
 	if vmSteps != wkSteps || vmErr != wkErr {
 		t.Fatalf("budget divergence: vm (%d, %q) vs walker (%d, %q)", vmSteps, vmErr, wkSteps, wkErr)
+	}
+}
+
+// TestVMDelegationCounters: the VM-coverage counters count instructions
+// the VM hands to the tree-walker. A try/finally is delegated (OpTry),
+// straight-line arithmetic is not, and a -novm run never enters the VM.
+func TestVMDelegationCounters(t *testing.T) {
+	delegated := func(src string, noVM bool) (all, try int64) {
+		ip, err := runVMMode(t, src, noVM, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := telemetry.NewMetrics()
+		ip.EnableTelemetry(m, nil)
+		ip.FlushEnvTelemetry()
+		try = m.CounterValue(telemetry.CtrVMDelegatedTry)
+		return try + m.CounterValue(telemetry.CtrVMDelegatedExpr) + m.CounterValue(telemetry.CtrVMDelegatedStmt), try
+	}
+	const tryFinally = `var n = 0; try { n = n + 1; } finally { n = n + 2; } console.log(n);`
+	if _, try := delegated(tryFinally, false); try < 1 {
+		t.Errorf("try/finally on the VM delegated %d OpTry, want at least 1", try)
+	}
+	if all, _ := delegated(`var a = 1 + 2 * 3; var b = a - 4 / 2; var c = (a + b) % 5;`, false); all != 0 {
+		t.Errorf("straight-line arithmetic on the VM delegated %d instructions, want 0", all)
+	}
+	if all, _ := delegated(tryFinally, true); all != 0 {
+		t.Errorf("-novm run delegated %d instructions, want 0", all)
 	}
 }

@@ -304,9 +304,7 @@ func (rt *Runtime) LoadPackage(name, src string) error {
 	if err != nil {
 		return fmt.Errorf("nodered: package %s: %w", name, err)
 	}
-	if !rt.IP.NoResolve {
-		resolve.Resolve(prog)
-	}
+	resolve.Resolve(prog)
 	return rt.LoadPackageAST(name, prog)
 }
 

@@ -6,23 +6,33 @@ import (
 	"testing"
 
 	"turnstile/internal/interp"
+	"turnstile/internal/parser"
+	"turnstile/internal/resolve"
 )
 
 // runHealthScenario deploys the resilience flow (a throwing node beside a
-// healthy recorder) under one execution mode, pumps messages, and returns
-// a canonical rendering of everything observable: the Health counters, the
-// sink writes, and the console output.
-func runHealthScenario(t *testing.T, noResolve bool) string {
+// healthy recorder), pumps messages, and returns a canonical rendering of
+// everything observable: the Health counters, the sink writes, and the
+// console output. With mapWalk the packages stay unresolved and run on
+// the tree-walker (the map walk); otherwise they are resolved.
+func runHealthScenario(t *testing.T, mapWalk bool) string {
 	t.Helper()
 	ip := interp.New()
-	ip.NoResolve = noResolve
+	ip.NoVM = mapWalk
 	rt := New(ip)
 	for name, src := range map[string]string{
 		"upper.js":  upperNodePkg,
 		"boom.js":   boomNodePkg,
 		"record.js": recordNodePkg,
 	} {
-		if err := rt.LoadPackage(name, src); err != nil {
+		prog, err := parser.Parse(name, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !mapWalk {
+			resolve.Resolve(prog)
+		}
+		if err := rt.LoadPackageAST(name, prog); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -52,12 +62,12 @@ func runHealthScenario(t *testing.T, noResolve bool) string {
 
 // The flow runtime's degradation counters must not depend on the
 // execution mode: handler errors, drops and sink writes are identical on
-// the slot-env fast path and the -noresolve map walk.
+// the slot-env fast path and the map walk.
 func TestHealthCountersResolveDifferential(t *testing.T) {
 	slot := runHealthScenario(t, false)
 	mapWalk := runHealthScenario(t, true)
 	if slot != mapWalk {
-		t.Fatalf("health differential diverged:\n--- slot\n%s--- noresolve\n%s", slot, mapWalk)
+		t.Fatalf("health differential diverged:\n--- slot\n%s--- map walk\n%s", slot, mapWalk)
 	}
 	// the breaker quarantines the throwing node after 3 consecutive
 	// failures, so the counters must show 3 errors and 2 drops

@@ -38,6 +38,10 @@ type parser struct {
 	pos    int
 	nextID int
 	depth  int
+	// closeOf maps the index of each '(' token to the index of its
+	// matching ')', or -1 when it is unclosed; built on first use by
+	// matchParen.
+	closeOf []int32
 }
 
 // maxParseDepth bounds grammar-level nesting (statements and expressions).
@@ -583,6 +587,34 @@ func (p *parser) assignExpr() ast.Expr {
 	return left
 }
 
+// matchParen returns the index of the ')' matching the '(' at token index
+// i, or -1 when it is unclosed. The table is built in one pass on first
+// use, so the arrow lookahead at every nesting level of a deeply
+// parenthesized expression stays linear in the token count instead of
+// rescanning to the closing paren each time.
+func (p *parser) matchParen(i int) int {
+	if p.closeOf == nil {
+		p.closeOf = make([]int32, len(p.toks))
+		var open []int32
+		for j, t := range p.toks {
+			p.closeOf[j] = -1
+			if t.Kind != lexer.Punct {
+				continue
+			}
+			switch t.Text {
+			case "(":
+				open = append(open, int32(j))
+			case ")":
+				if n := len(open); n > 0 {
+					p.closeOf[open[n-1]] = int32(j)
+					open = open[:n-1]
+				}
+			}
+		}
+	}
+	return int(p.closeOf[i])
+}
+
 // tryArrow attempts to parse an arrow function at the current position.
 // Returns nil (with position restored) if the lookahead does not match.
 func (p *parser) tryArrow() ast.Expr {
@@ -607,27 +639,9 @@ func (p *parser) tryArrow() ast.Expr {
 		}
 		params = []*ast.Param{{NodeInfo: pb, Name: name}}
 	case p.atPunct("("):
-		// scan ahead to the matching ')' and check for '=>'
-		depth := 0
-		i := p.pos
-		for ; i < len(p.toks); i++ {
-			t := p.toks[i]
-			if t.Kind == lexer.Punct {
-				switch t.Text {
-				case "(":
-					depth++
-				case ")":
-					depth--
-				}
-				if depth == 0 {
-					break
-				}
-			}
-			if t.Kind == lexer.EOF {
-				break
-			}
-		}
-		if i+1 >= len(p.toks) || p.toks[i+1].Kind != lexer.Punct || p.toks[i+1].Text != "=>" {
+		// an arrow iff '=>' follows the matching ')'
+		i := p.matchParen(p.pos)
+		if i < 0 || i+1 >= len(p.toks) || p.toks[i+1].Kind != lexer.Punct || p.toks[i+1].Text != "=>" {
 			p.pos, p.nextID = start, startID
 			return nil
 		}

@@ -2,28 +2,33 @@ package resolve_test
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
+	"turnstile/internal/corpus"
 	"turnstile/internal/guard"
 	"turnstile/internal/interp"
 	"turnstile/internal/parser"
 	"turnstile/internal/resolve"
 )
 
-// observe runs src once under the given execution mode with bounded
-// budgets and returns everything observable: console lines, sink writes,
-// and the run error rendering ("" when the run is clean).
-func observe(src string, noResolve bool) (out []string, errStr string) {
+// observe runs src once with bounded budgets and returns everything
+// observable: console lines, sink writes, and the run error rendering (""
+// when the run is clean). A resolved parse runs on the default engine; an
+// unresolved one runs on the tree-walker over the map-walk environment.
+func observe(src string, resolved bool) (out []string, errStr string) {
 	prog, err := parser.Parse("eq.js", src)
 	if err != nil {
 		return nil, "parse: " + err.Error()
 	}
-	if !noResolve {
-		resolve.Resolve(prog)
-	}
 	ip := interp.New()
-	ip.NoResolve = noResolve
+	if resolved {
+		resolve.Resolve(prog)
+	} else {
+		ip.NoVM = true
+	}
 	ip.MaxSteps = 150_000
 	ip.SetGuard(guard.New(guard.Limits{
 		Fuel:          300_000,
@@ -36,17 +41,19 @@ func observe(src string, noResolve bool) (out []string, errStr string) {
 	}
 	out = append(out, ip.ConsoleOut...)
 	for _, w := range ip.IO.Writes {
-		out = append(out, fmt.Sprintf("%s.%s %s %v", w.Module, w.Op, w.Target, w.Value))
+		out = append(out, fmt.Sprintf("%s.%s %s %s", w.Module, w.Op, w.Target, interp.Inspect(w.Value)))
 	}
 	return out, errStr
 }
 
 // FuzzResolveEquivalence is the resolver's semantics-preservation property
 // as a fuzz target: on any parseable program, the slot-env fast path and
-// the -noresolve map walk must produce identical console output, identical
-// sink writes, and the identical error (or identical success) under the
-// same budgets. The seeds mirror the instrument-fuzz corpus so the two
-// batteries stress the same language surface.
+// the tree-walker on an unresolved parse (the map walk) must produce
+// identical console output, identical sink writes, and the identical
+// error (or identical success) under the same budgets. The hand-written
+// seeds mirror the instrument-fuzz corpus so the two batteries stress the
+// same language surface; every runnable corpus source and every file of
+// one generated app per stratum add program-level breadth.
 func FuzzResolveEquivalence(f *testing.F) {
 	seeds := []string{
 		`const fs = require("fs");
@@ -106,12 +113,24 @@ console.log(f0() + f2());`,
 		`function t(n) { setTimeout(function() { t(n + 1); }, 1000); } t(0);`,
 		"console.log(" + strings.Repeat("(", 60) + "1 + 2" + strings.Repeat(")", 60) + ");",
 	}
+	for _, app := range corpus.Runnable(corpus.All()) {
+		seeds = append(seeds, app.Source)
+	}
+	for i, stratum := range corpus.GenStratumNames() {
+		ga, err := corpus.Generate(stratum, uint64(i)+1, i)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, name := range slices.Sorted(maps.Keys(ga.Files)) {
+			seeds = append(seeds, ga.Files[name])
+		}
+	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		slotOut, slotErr := observe(src, false)
-		mapOut, mapErr := observe(src, true)
+		slotOut, slotErr := observe(src, true)
+		mapOut, mapErr := observe(src, false)
 		if slotErr != mapErr {
 			t.Fatalf("error divergence:\n slot: %q\n  map: %q\ninput: %q", slotErr, mapErr, src)
 		}

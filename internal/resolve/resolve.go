@@ -60,12 +60,13 @@ type resolver struct {
 	res Result
 }
 
-// Resolve annotates prog in place and returns coverage statistics. It is
-// idempotent: re-resolving an already-annotated program recomputes the
+// Resolve annotates prog in place, marks it Resolved and returns coverage
+// statistics. It is idempotent: re-resolving an already-annotated program recomputes the
 // same annotations.
 func Resolve(prog *ast.Program) *Result {
 	r := &resolver{}
 	r.stmts(prog.Body, nil)
+	prog.Resolved = true
 	return &r.res
 }
 

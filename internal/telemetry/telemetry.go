@@ -45,6 +45,12 @@ const (
 	CtrICHits        = "interp.ic.hits"
 	CtrICMisses      = "interp.ic.misses"
 
+	// VM coverage: instructions the bytecode VM delegated to the
+	// tree-walker, one counter per delegating opcode
+	CtrVMDelegatedExpr = "interp.vm.delegated.eval_expr"
+	CtrVMDelegatedStmt = "interp.vm.delegated.exec_stmt"
+	CtrVMDelegatedTry  = "interp.vm.delegated.try"
+
 	CtrResolveScopes   = "interp.resolve.scopes"
 	CtrResolveSlots    = "interp.resolve.slots"
 	CtrResolveResolved = "interp.resolve.resolved"

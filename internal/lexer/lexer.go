@@ -11,10 +11,11 @@ package lexer
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // Kind classifies a token.
-type Kind int
+type Kind uint8
 
 // Token kinds produced by the lexer.
 const (
@@ -61,12 +62,13 @@ func (k Kind) String() string {
 	return "Token?"
 }
 
-// Token is one lexical token.
+// Token is one lexical token. Its fields are ordered to pack it into 32
+// bytes; Line and Col are 1-based and count bytes, not runes.
 type Token struct {
-	Kind    Kind
 	Text    string // raw text for idents/puncts, decoded value for strings
-	Line    int
-	Col     int
+	Line    int32
+	Col     int32
+	Kind    Kind
 	NLBefor bool // a newline appeared between the previous token and this one
 }
 
@@ -95,6 +97,32 @@ var puncts = []string{
 	"*=", "/=", "%=", "&=", "|=", "^=", "**", "<<", ">>", "?.",
 	"+", "-", "*", "/", "%", "=", "<", ">", "!", "&", "|", "^", "~", "?",
 	":", ";", ",", ".", "(", ")", "[", "]", "{", "}",
+}
+
+// punctsByFirst holds, for each byte, the punctuators starting with it in
+// the longest-match-first order of puncts.
+var punctsByFirst [256][]string
+
+// Byte classes for the scanning loops.
+const (
+	identStart uint8 = 1 << iota // letters, '_' and '$'
+	digit
+)
+
+var byteClass [256]uint8
+
+func init() {
+	for _, p := range puncts {
+		punctsByFirst[p[0]] = append(punctsByFirst[p[0]], p)
+	}
+	for c := 'a'; c <= 'z'; c++ {
+		byteClass[c] = identStart
+		byteClass[c-'a'+'A'] = identStart
+	}
+	byteClass['_'], byteClass['$'] = identStart, identStart
+	for c := '0'; c <= '9'; c++ {
+		byteClass[c] = digit
+	}
 }
 
 // Error is a lexical error with position information.
@@ -128,12 +156,28 @@ func New(src string) *Lexer {
 // Tokenize scans the whole input and returns the token list, terminated by
 // an EOF token.
 func Tokenize(src string) ([]Token, error) {
+	toks, err := TokenizeInto(nil, src)
+	if err != nil {
+		return nil, err
+	}
+	return toks, nil
+}
+
+// TokenizeInto is Tokenize appending to buf[:0], so a caller can reuse one
+// buffer across sources. On error it returns the tokens scanned before the
+// error, so the caller can clear them before reusing the buffer.
+func TokenizeInto(buf []Token, src string) ([]Token, error) {
+	// MiniJS averages 4.2-4.4 source bytes per token and rarely goes
+	// below 3, so this capacity almost never has to grow.
+	if n := len(src)/3 + 1; cap(buf) < n {
+		buf = make([]Token, 0, n)
+	}
 	lx := New(src)
-	var toks []Token
+	toks := buf[:0]
 	for {
 		t, err := lx.Next()
 		if err != nil {
-			return nil, err
+			return toks, err
 		}
 		toks = append(toks, t)
 		if t.Kind == EOF {
@@ -173,51 +217,60 @@ func (lx *Lexer) advance() byte {
 	return c
 }
 
+// skip advances over n bytes that contain no newline.
+func (lx *Lexer) skip(n int) {
+	lx.pos += n
+	lx.col += n
+}
+
 // Next returns the next token.
 func (lx *Lexer) Next() (Token, error) {
 	if err := lx.skipSpaceAndComments(); err != nil {
 		return Token{}, err
 	}
-	nl := lx.nlPending
+	tok := Token{Line: int32(lx.line), Col: int32(lx.col), NLBefor: lx.nlPending}
 	lx.nlPending = false
-	line, col := lx.line, lx.col
-	mk := func(k Kind, text string) Token {
-		return Token{Kind: k, Text: text, Line: line, Col: col, NLBefor: nl}
-	}
 	if lx.pos >= len(lx.src) {
-		return mk(EOF, ""), nil
+		tok.Kind = EOF
+		return tok, nil
 	}
-	c := lx.peek()
+	c := lx.src[lx.pos]
 	switch {
-	case isIdentStart(c):
-		text := lx.scanIdent()
-		if keywords[text] {
-			return mk(Keyword, text), nil
+	case byteClass[c]&identStart != 0:
+		tok.Text = lx.scanIdent()
+		tok.Kind = Ident
+		if keywords[tok.Text] {
+			tok.Kind = Keyword
 		}
-		return mk(Ident, text), nil
-	case c >= '0' && c <= '9', c == '.' && isDigit(lx.peekAt(1)):
+		return tok, nil
+	case byteClass[c]&digit != 0, c == '.' && isDigit(lx.peekAt(1)):
 		text, err := lx.scanNumber()
 		if err != nil {
 			return Token{}, err
 		}
-		return mk(Number, text), nil
+		tok.Kind, tok.Text = Number, text
+		return tok, nil
 	case c == '"' || c == '\'':
 		text, err := lx.scanString(c)
 		if err != nil {
 			return Token{}, err
 		}
-		return mk(String, text), nil
+		tok.Kind, tok.Text = String, text
+		return tok, nil
 	case c == '`':
 		lx.advance()
 		chunk, term, err := lx.scanTemplateChunk()
 		if err != nil {
 			return Token{}, err
 		}
+		tok.Text = chunk
 		if term == '`' {
-			return mk(TemplateFull, chunk), nil
+			tok.Kind = TemplateFull
+			return tok, nil
 		}
 		lx.templateDepth = append(lx.templateDepth, 0)
-		return mk(TemplateStart, chunk), nil
+		tok.Kind = TemplateStart
+		return tok, nil
 	case c == '}' && len(lx.templateDepth) > 0 && lx.templateDepth[len(lx.templateDepth)-1] == 0:
 		// resume template literal
 		lx.advance()
@@ -225,43 +278,49 @@ func (lx *Lexer) Next() (Token, error) {
 		if err != nil {
 			return Token{}, err
 		}
+		tok.Text = chunk
 		if term == '`' {
 			lx.templateDepth = lx.templateDepth[:len(lx.templateDepth)-1]
-			return mk(TemplateEnd, chunk), nil
+			tok.Kind = TemplateEnd
+			return tok, nil
 		}
-		return mk(TemplateMid, chunk), nil
-	default:
-		for _, p := range puncts {
-			if strings.HasPrefix(lx.src[lx.pos:], p) {
-				for range p {
-					lx.advance()
+		tok.Kind = TemplateMid
+		return tok, nil
+	}
+	rest := lx.src[lx.pos:]
+	for _, p := range punctsByFirst[c] {
+		if strings.HasPrefix(rest, p) {
+			lx.skip(len(p)) // punctuators never contain '\n'
+			if len(lx.templateDepth) > 0 {
+				top := len(lx.templateDepth) - 1
+				switch p {
+				case "{":
+					lx.templateDepth[top]++
+				case "}":
+					lx.templateDepth[top]--
 				}
-				if len(lx.templateDepth) > 0 {
-					top := len(lx.templateDepth) - 1
-					switch p {
-					case "{":
-						lx.templateDepth[top]++
-					case "}":
-						lx.templateDepth[top]--
-					}
-				}
-				return mk(Punct, p), nil
 			}
+			tok.Kind, tok.Text = Punct, p
+			return tok, nil
 		}
 	}
-	return Token{}, lx.errf("unexpected character %q", string(c))
+	r, _ := utf8.DecodeRuneInString(rest)
+	return Token{}, lx.errf("unexpected character %q", string(r))
 }
 
 func (lx *Lexer) skipSpaceAndComments() error {
 	for lx.pos < len(lx.src) {
-		c := lx.peek()
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
+		switch c := lx.src[lx.pos]; {
+		case c == ' ' || c == '\t' || c == '\r':
+			lx.skip(1)
+		case c == '\n':
 			lx.advance()
 		case c == '/' && lx.peekAt(1) == '/':
-			for lx.pos < len(lx.src) && lx.peek() != '\n' {
-				lx.advance()
+			n := strings.IndexByte(lx.src[lx.pos:], '\n')
+			if n < 0 {
+				n = len(lx.src) - lx.pos
 			}
+			lx.skip(n)
 		case c == '/' && lx.peekAt(1) == '*':
 			lx.advance()
 			lx.advance()
@@ -287,10 +346,12 @@ func (lx *Lexer) skipSpaceAndComments() error {
 
 func (lx *Lexer) scanIdent() string {
 	start := lx.pos
-	for lx.pos < len(lx.src) && isIdentPart(lx.peek()) {
-		lx.advance()
+	end := start + 1
+	for end < len(lx.src) && byteClass[lx.src[end]] != 0 {
+		end++
 	}
-	return lx.src[start:lx.pos]
+	lx.skip(end - start)
+	return lx.src[start:end]
 }
 
 func (lx *Lexer) scanNumber() (string, error) {
@@ -316,13 +377,14 @@ func (lx *Lexer) scanNumber() (string, error) {
 		}
 	}
 	if c := lx.peek(); c == 'e' || c == 'E' {
-		save := lx.pos
+		save, saveCol := lx.pos, lx.col
 		lx.advance()
 		if c := lx.peek(); c == '+' || c == '-' {
 			lx.advance()
 		}
 		if !isDigit(lx.peek()) {
-			lx.pos = save // not an exponent; leave for the parser to reject
+			// not an exponent; leave for the parser to reject
+			lx.pos, lx.col = save, saveCol
 			return lx.src[start:lx.pos], nil
 		}
 		for isDigit(lx.peek()) {
@@ -333,6 +395,19 @@ func (lx *Lexer) scanNumber() (string, error) {
 }
 
 func (lx *Lexer) scanString(quote byte) (string, error) {
+	// Fast path: a literal with no escape and no newline is its own
+	// source text between the quotes.
+	for i := lx.pos + 1; i < len(lx.src); i++ {
+		c := lx.src[i]
+		if c == quote {
+			text := lx.src[lx.pos+1 : i]
+			lx.skip(i + 1 - lx.pos)
+			return text, nil
+		}
+		if c == '\\' || c == '\n' {
+			break
+		}
+	}
 	lx.advance() // opening quote
 	var b strings.Builder
 	for {
@@ -400,12 +475,6 @@ func unescape(e byte) byte {
 		return e
 	}
 }
-
-func isIdentStart(c byte) bool {
-	return c == '_' || c == '$' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-}
-
-func isIdentPart(c byte) bool { return isIdentStart(c) || isDigit(c) }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 

@@ -263,3 +263,25 @@ func TestHexLiteralRequiresDigits(t *testing.T) {
 		t.Fatalf("tok = %v", toks[0])
 	}
 }
+
+// An 'e' that does not start an exponent is rewound with its column.
+func TestNonExponentColumn(t *testing.T) {
+	for src, want := range map[string][]Token{
+		"1ex":  {{Kind: Number, Text: "1", Line: 1, Col: 1}, {Kind: Ident, Text: "ex", Line: 1, Col: 2}},
+		"1e+x": {{Kind: Number, Text: "1", Line: 1, Col: 1}, {Kind: Ident, Text: "e", Line: 1, Col: 2}},
+	} {
+		toks := mustTokenize(t, src)
+		for i, w := range want {
+			if toks[i] != w {
+				t.Errorf("Tokenize(%q)[%d] = %v, want %v", src, i, toks[i], w)
+			}
+		}
+	}
+}
+
+func TestUnexpectedNonASCII(t *testing.T) {
+	_, err := Tokenize("xé")
+	if err == nil || err.Error() != `1:2: unexpected character "é"` {
+		t.Fatalf("err = %v", err)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"turnstile/internal/ast"
 	"turnstile/internal/guard"
@@ -70,10 +71,21 @@ func (p *parser) enter() {
 
 func (p *parser) leave() { p.depth-- }
 
+// tokenBufs recycles token buffers across Parse calls. The AST keeps only
+// token texts, which point into the source or into lexer constants, never
+// into the buffer, so a buffer is free again once Parse returns.
+var tokenBufs = sync.Pool{New: func() any { return new([]lexer.Token) }}
+
 // Parse parses src and returns the program. file is used in error messages
 // and recorded on the returned Program.
 func Parse(file, src string) (*ast.Program, error) {
-	toks, err := lexer.Tokenize(src)
+	buf := tokenBufs.Get().(*[]lexer.Token)
+	toks, err := lexer.TokenizeInto(*buf, src)
+	defer func() {
+		clear(toks) // drop references into src before pooling
+		*buf = toks[:0]
+		tokenBufs.Put(buf)
+	}()
 	if err != nil {
 		if le, ok := err.(*lexer.Error); ok {
 			return nil, &Error{File: file, Msg: le.Msg, Line: le.Line, Col: le.Col}
@@ -82,9 +94,6 @@ func Parse(file, src string) (*ast.Program, error) {
 	}
 	p := &parser{file: file, toks: toks, nextID: 1}
 	prog := &ast.Program{File: file}
-	// Parsing can fail deep in recursion; surface errors via panic/recover
-	// to keep the grammar code readable.
-	defer func() {}()
 	body, err := p.parseProgram()
 	if err != nil {
 		return nil, err
@@ -123,7 +132,7 @@ func (p *parser) parseProgram() (body []ast.Stmt, err error) {
 
 func (p *parser) fail(format string, args ...any) {
 	t := p.cur()
-	panic(parseAbort{&Error{File: p.file, Msg: fmt.Sprintf(format, args...), Line: t.Line, Col: t.Col}})
+	panic(parseAbort{&Error{File: p.file, Msg: fmt.Sprintf(format, args...), Line: int(t.Line), Col: int(t.Col)}})
 }
 
 func (p *parser) cur() lexer.Token  { return p.toks[p.pos] }
@@ -154,7 +163,7 @@ func (p *parser) expect(k lexer.Kind, text string) lexer.Token {
 
 func (p *parser) loc() ast.Pos {
 	t := p.cur()
-	return ast.Pos{Line: t.Line, Col: t.Col}
+	return ast.Pos{Line: int(t.Line), Col: int(t.Col)}
 }
 
 func (p *parser) id() int { id := p.nextID; p.nextID++; return id }

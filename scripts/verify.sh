@@ -31,6 +31,9 @@ go test ./internal/interp -run '^$' -fuzz FuzzInterpNoPanicWithinFuel -fuzztime 
 echo "== resolver equivalence fuzz smoke (slot env = map walk on an unresolved parse)"
 go test ./internal/resolve -run '^$' -fuzz FuzzResolveEquivalence -fuzztime 5s -race
 
+echo "== lexer differential fuzz smoke (table-driven lexer = reference lexer)"
+go test ./internal/lexer -run '^$' -fuzz FuzzTokenizeMatchesReference -fuzztime 5s
+
 echo "== telemetry-disabled overhead gate (BenchmarkDIFTOps)"
 TURNSTILE_BENCH_GATE=1 go test ./internal/dift -run TestDisabledOverheadGate -v
 

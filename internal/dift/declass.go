@@ -17,9 +17,12 @@ func (t *Tracker) CNFEnabled() bool { return t.cnf }
 
 // IntegrityOf returns the integrity facts attached directly to v (nil when
 // untracked). Unlike confidentiality, integrity is read shallowly here;
-// DataIntegrity walks containers.
+// DataIntegrity walks containers. The set must not be mutated.
 func (t *Tracker) IntegrityOf(v any) policy.LabelSet {
-	if r, ok := v.(Ref); ok {
+	switch r := v.(type) {
+	case *Box:
+		return r.integ
+	case Ref:
 		return t.integ[r.RefID()]
 	}
 	return nil
@@ -27,17 +30,25 @@ func (t *Tracker) IntegrityOf(v any) policy.LabelSet {
 
 // AttachIntegrity binds integrity facts to v, boxing value types exactly
 // like Attach; the (possibly boxed) value is returned and must replace v.
-func (t *Tracker) AttachIntegrity(v any, is policy.LabelSet) any {
+func (t *Tracker) AttachIntegrity(v any, is policy.LabelSet) any { return t.attachInteg(v, is.Clone()) }
+
+// attachInteg is AttachIntegrity without the defensive copy (see attach).
+func (t *Tracker) attachInteg(v any, is policy.LabelSet) any {
 	if is.Empty() {
 		return v
 	}
 	if r, ok := v.(Ref); ok {
-		t.integ[r.RefID()] = t.integ[r.RefID()].Union(is)
+		is = join(t.IntegrityOf(v), is)
+		if b, isBox := r.(*Box); isBox {
+			b.integ = is
+		} else {
+			t.integ[r.RefID()] = is
+		}
 		return v
 	}
 	if !t.Adapter.IsReference(v) {
 		b := t.newBox(v)
-		t.integ[b.RefID()] = is.Clone()
+		b.integ = is
 		return b
 	}
 	return v
@@ -51,33 +62,31 @@ func (t *Tracker) AttachIntegrity(v any, is policy.LabelSet) any {
 // ⊤ join.
 func (t *Tracker) DataIntegrity(v any) policy.LabelSet {
 	var union policy.LabelSet
-	seen := make(map[uint64]bool)
-	t.collectInteg(v, &union, seen, 0)
+	var seen visited
+	t.collectInteg(v, &union, &seen, 0)
 	return union
 }
 
-func (t *Tracker) collectInteg(v any, union *policy.LabelSet, seen map[uint64]bool, depth int) {
+func (t *Tracker) collectInteg(v any, union *policy.LabelSet, seen *visited, depth int) {
 	if depth > maxCollectDepth {
+		return
+	}
+	if b, ok := v.(*Box); ok {
+		*union = join(*union, b.integ)
+		t.collectInteg(b.Val, union, seen, depth+1)
 		return
 	}
 	if r, ok := v.(Ref); ok {
 		id := r.RefID()
-		if seen[id] {
+		if !seen.add(id) {
 			return
 		}
-		seen[id] = true
-		if is := t.integ[id]; !is.Empty() {
-			*union = union.Union(is)
-		}
+		*union = join(*union, t.integ[id])
 	}
 	if elems, ok := t.Adapter.Elements(v); ok {
 		for _, el := range elems {
 			t.collectInteg(el, union, seen, depth+1)
 		}
-		return
-	}
-	if b, ok := v.(*Box); ok {
-		t.collectInteg(b.Val, union, seen, depth+1)
 		return
 	}
 	if t.props != nil {
@@ -101,12 +110,9 @@ func (t *Tracker) collectInteg(v any, union *policy.LabelSet, seen map[uint64]bo
 func (t *Tracker) deriveIntegrity(out any, sources []any) any {
 	var iu policy.LabelSet
 	for _, s := range sources {
-		iu = iu.Union(t.IntegrityOf(s))
+		iu = join(iu, t.IntegrityOf(s))
 	}
-	if iu.Empty() {
-		return out
-	}
-	return t.AttachIntegrity(out, iu)
+	return t.attachInteg(out, iu)
 }
 
 // exchanged applies the policy's exchange rules to a checked data label,
@@ -176,16 +182,11 @@ func (t *Tracker) Declassify(v any, name string) (out any, err error) {
 	if !isRef {
 		return v, nil // unlabelled value type: nothing to discharge
 	}
-	ls := t.labels[r.RefID()]
+	ls := t.LabelsOf(v)
 	if ls.Empty() {
 		return v, nil
 	}
-	next := policy.Declassify(ls, dec.Removes)
-	if next.Empty() {
-		delete(t.labels, r.RefID())
-	} else {
-		t.labels[r.RefID()] = next
-	}
+	t.setLabels(r, policy.Declassify(ls, dec.Removes))
 	return v, nil
 }
 

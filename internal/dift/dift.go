@@ -4,12 +4,17 @@
 // be fused into any application (platform-independence, C2).
 //
 // The tracker maintains the global map from tracked objects to privacy
-// labels. Reference-type values carry their own identity (RefID);
-// value-type instances are wrapped in a Box container to give two equal
-// values distinct labels, exactly as the paper wraps JavaScript primitives
-// (§4.4, "Tracking privacy-sensitive information flow"). Boxes are
+// labels. Reference-type values carry their own identity (RefID) and are
+// labelled through that map; value-type instances are wrapped in a Box
+// container to give two equal values distinct labels, exactly as the paper
+// wraps JavaScript primitives (§4.4, "Tracking privacy-sensitive
+// information flow"), and a box carries its labels itself. Boxes are
 // unwrapped on writes to sinks so that external interfaces see native
 // values.
+//
+// Label sets are copy-on-write: once stored on a box, in a table or
+// handed back by LabelsOf/DataLabels, a set is never mutated, so the
+// tracker shares sets between values instead of cloning them.
 package dift
 
 import (
@@ -31,9 +36,15 @@ type Ref interface {
 // property/element accesses treat boxes transparently (the MiniJS
 // interpreter unwraps them at primitive-operation sites, the analogue of
 // the paper's JavaScript Proxy interception).
+//
+// A box carries its own confidentiality and integrity labels, so tracking
+// a value type costs no label-table entry and a dead box takes its labels
+// with it. Neither field ever holds an empty non-nil set.
 type Box struct {
-	Val any
-	id  uint64
+	Val   any
+	id    uint64
+	conf  policy.LabelSet
+	integ policy.LabelSet
 }
 
 // RefID implements Ref.
@@ -153,7 +164,7 @@ type Tracker struct {
 	// stage boundary and audit mode keeps auditing.
 	FailClosed bool
 
-	labels     map[uint64]policy.LabelSet
+	labels     map[uint64]policy.LabelSet // reference values only; boxes label themselves
 	invokeFns  map[uint64]policy.LabelFunc
 	violations []*Violation
 	stats      Stats
@@ -415,30 +426,87 @@ func (t *Tracker) newBox(v any) *Box {
 	return &Box{Val: v, id: NextRefID()}
 }
 
-// LabelsOf returns the labels attached to v (nil when untracked).
+// LabelsOf returns the labels attached to v (nil when untracked). The
+// set is shared with the tracker and must not be mutated.
 func (t *Tracker) LabelsOf(v any) policy.LabelSet {
-	if r, ok := v.(Ref); ok {
+	switch r := v.(type) {
+	case *Box:
+		return r.conf
+	case Ref:
 		return t.labels[r.RefID()]
 	}
 	return nil
 }
 
+// setLabels replaces r's labels. An empty set is elided: a box's field
+// goes back to nil, a table entry is deleted.
+func (t *Tracker) setLabels(r Ref, ls policy.LabelSet) {
+	if ls.Empty() {
+		ls = nil
+	}
+	if b, ok := r.(*Box); ok {
+		b.conf = ls
+		return
+	}
+	if ls == nil {
+		delete(t.labels, r.RefID())
+		return
+	}
+	t.labels[r.RefID()] = ls
+}
+
 // Attach binds labels to v. Value-type values are boxed; the (possibly
-// boxed) value is returned and must replace v at the call site.
-func (t *Tracker) Attach(v any, ls policy.LabelSet) any {
+// boxed) value is returned and must replace v at the call site. The
+// tracker keeps a copy of ls, so the caller may go on using it.
+func (t *Tracker) Attach(v any, ls policy.LabelSet) any { return t.attach(v, ls.Clone()) }
+
+// attach is Attach without the defensive copy: ls may end up shared with
+// v, which is safe because label sets are copy-on-write.
+func (t *Tracker) attach(v any, ls policy.LabelSet) any {
 	if ls.Empty() {
 		return v
 	}
 	if r, ok := v.(Ref); ok {
-		t.labels[r.RefID()] = t.labels[r.RefID()].Union(ls)
+		t.setLabels(r, join(t.LabelsOf(v), ls))
 		return v
 	}
 	if !t.Adapter.IsReference(v) {
 		b := t.newBox(v)
-		t.labels[b.RefID()] = ls.Clone()
+		b.conf = ls
 		return b
 	}
 	return v
+}
+
+// join is the label union of the tracker's internal paths. When one
+// operand already holds the other it is returned itself rather than a
+// fresh copy; policy.LabelSet.Union keeps its no-alias contract for
+// everyone else.
+func join(a, b policy.LabelSet) policy.LabelSet {
+	switch {
+	case len(b) == 0:
+		return a
+	case len(a) == 0:
+		return b
+	case subset(b, a):
+		return a
+	case subset(a, b):
+		return b
+	}
+	return a.Union(b)
+}
+
+// subset reports whether every label of a is in b.
+func subset(a, b policy.LabelSet) bool {
+	if len(a) > len(b) {
+		return false
+	}
+	for l := range a {
+		if !b.Contains(l) {
+			return false
+		}
+	}
+	return true
 }
 
 // Label implements the label(target, labeller) API method (Table 1): it
@@ -572,30 +640,55 @@ func (t *Tracker) Derive(result any, sources ...any) (out any) {
 	}
 	var union policy.LabelSet
 	for _, s := range sources {
-		union = union.Union(t.LabelsOf(s))
+		union = join(union, t.LabelsOf(s))
 	}
 	union = t.pcAugment(union)
 	if t.cnf {
-		out = result
-		if !union.Empty() {
-			out = t.Attach(out, union)
-		}
-		return t.deriveIntegrity(out, sources)
+		return t.deriveIntegrity(t.attach(result, union), sources)
 	}
-	if union.Empty() {
-		return result
-	}
-	return t.Attach(result, union)
+	return t.attach(result, union)
 }
 
 // DataLabels collects the labels of v and, for containers, of the values
 // reachable from it. Collection is cycle-safe. This is what a sink check
-// inspects: sending an object leaks everything reachable from it.
+// inspects: sending an object leaks everything reachable from it. The
+// result may share a stored set and must not be mutated.
 func (t *Tracker) DataLabels(v any) policy.LabelSet {
 	var union policy.LabelSet
-	seen := make(map[uint64]bool)
-	t.collect(v, &union, seen, 0)
+	var seen visited
+	t.collect(v, &union, &seen, 0)
 	return union
+}
+
+// visited is the cycle set of one label walk. Only containers enter it: a
+// box wraps a value type, so it is a leaf that cannot close a cycle. The
+// first few ids live inline, so a plain value, a box or one array of
+// boxes is walked without allocating.
+type visited struct {
+	n     int
+	small [8]uint64
+	big   map[uint64]struct{}
+}
+
+// add inserts id and reports whether it was not already present.
+func (s *visited) add(id uint64) bool {
+	for _, x := range s.small[:s.n] {
+		if x == id {
+			return false
+		}
+	}
+	if s.n < len(s.small) {
+		s.small[s.n] = id
+		s.n++
+		return true
+	}
+	if s.big == nil {
+		s.big = make(map[uint64]struct{})
+	} else if _, ok := s.big[id]; ok {
+		return false
+	}
+	s.big[id] = struct{}{}
+	return true
 }
 
 const maxCollectDepth = 12
@@ -604,7 +697,7 @@ const maxCollectDepth = 12
 // check stays allocation-free.
 var topSet = policy.NewLabelSet(policy.Top)
 
-func (t *Tracker) collect(v any, union *policy.LabelSet, seen map[uint64]bool, depth int) {
+func (t *Tracker) collect(v any, union *policy.LabelSet, seen *visited, depth int) {
 	if depth > maxCollectDepth {
 		// Truncating a plain value is lossless — it carries no identity
 		// and reaches nothing — but truncating a Ref or a container may
@@ -625,24 +718,22 @@ func (t *Tracker) collect(v any, union *policy.LabelSet, seen map[uint64]bool, d
 		}
 		return
 	}
+	if b, ok := v.(*Box); ok {
+		*union = join(*union, b.conf)
+		t.collect(b.Val, union, seen, depth+1)
+		return
+	}
 	if r, ok := v.(Ref); ok {
 		id := r.RefID()
-		if seen[id] {
+		if !seen.add(id) {
 			return
 		}
-		seen[id] = true
-		if ls := t.labels[id]; !ls.Empty() {
-			*union = union.Union(ls)
-		}
+		*union = join(*union, t.labels[id])
 	}
 	if elems, ok := t.Adapter.Elements(v); ok {
 		for _, el := range elems {
 			t.collect(el, union, seen, depth+1)
 		}
-		return
-	}
-	if b, ok := v.(*Box); ok {
-		t.collect(b.Val, union, seen, depth+1)
 		return
 	}
 	// CNF mode walks object properties too: a compound policy's attack
@@ -757,7 +848,7 @@ func (t *Tracker) InvokeCheckTarget(fnVal, target any, args []any, site string) 
 	t.stats.Checks++
 	var dl policy.LabelSet
 	for _, a := range args {
-		dl = dl.Union(t.DataLabels(a))
+		dl = join(dl, t.DataLabels(a))
 	}
 	dl = t.pcAugment(dl)
 	if t.cnf {
@@ -792,11 +883,9 @@ func (t *Tracker) InvokeCheckTarget(fnVal, target any, args []any, site string) 
 }
 
 // DeriveInvoke labels a function's return value with the compound label of
-// its arguments (the invoke rule of Fig. 5).
+// its arguments (the invoke rule of Fig. 5). args is not retained.
 func (t *Tracker) DeriveInvoke(result any, args []any) any {
-	srcs := make([]any, 0, len(args))
-	srcs = append(srcs, args...)
-	return t.Derive(result, srcs...)
+	return t.Derive(result, args...)
 }
 
 func (t *Tracker) verdict(dl, rl policy.LabelSet, op, site string) error {

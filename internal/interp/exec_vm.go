@@ -245,19 +245,11 @@ func rval(regs []Value, fregs []float64, ftag []bool, i int32) Value {
 	return regs[i]
 }
 
-// trackerCall dispatches a fused `__t.method(...)` call site. The fast
-// path is valid while the tracker object installed by InstallTracker is
-// still the unshadowed `__t` binding (no dynamic rebinding anywhere, no
-// property writes on τ itself since install); otherwise it falls back to
-// the exact tree-walker sequence: ident lookup, IC method dispatch,
-// CallMethod.
+// trackerCall is the slow path of a fused `__t.method(...)` call site,
+// taken when tauMethod has no method for it: the exact tree-walker
+// sequence of ident lookup, IC method dispatch and CallMethod.
 func (ip *Interp) trackerCall(site *vm.CallSite, env *Env, args []Value) (Value, error) {
 	pos := site.Node.Pos()
-	if ip.tauObj != nil && !ip.tauRebound && ip.tauObj.version == ip.tauVer {
-		if fn, ok := ip.tauMethods[site.Name]; ok {
-			return ip.CallFunction(fn, ip.tauObj, args, pos)
-		}
-	}
 	mem := site.Mem
 	id := mem.Object.(*ast.Ident)
 	recv, ok := ip.lookupIdent(env, id.Name, id.Ref)
@@ -270,6 +262,23 @@ func (ip *Interp) trackerCall(site *vm.CallSite, env *Env, args []Value) (Value,
 		}
 	}
 	return ip.CallMethod(recv, site.Name, args, pos)
+}
+
+// tauIntact reports whether the fused call's fast path holds: the tracker
+// object installed by InstallTracker is still the unshadowed `__t`
+// binding (no dynamic rebinding anywhere, no property writes on τ itself
+// since install).
+func (ip *Interp) tauIntact() bool {
+	return ip.tauObj != nil && !ip.tauRebound && ip.tauObj.version == ip.tauVer
+}
+
+// tauMethod returns τ's installed method called name while τ is intact,
+// else nil.
+func (ip *Interp) tauMethod(name string) *HostFunc {
+	if !ip.tauIntact() {
+		return nil
+	}
+	return ip.tauMethods[name]
 }
 
 // runChunk executes one compiled chunk in env. Completions mirror
@@ -769,7 +778,17 @@ func (ip *Interp) runFrame(ch *vm.Chunk, env *Env, fr *vmFrame) (ctrlKind, Value
 			regs[in.A], ftag[in.A] = v, false
 		case vm.OpTrackerCall:
 			site := ch.Consts[in.D].(*vm.CallSite)
-			v, err := ip.trackerCall(site, env, callArgs(regs, fregs, ftag, in.C))
+			var v Value
+			var err error
+			// the installed τ methods are host functions that never retain
+			// their argument slice, so an intact τ runs on a pooled one
+			if hf := ip.tauMethod(site.Name); hf != nil {
+				args := ip.vmArgs(regs, fregs, ftag, in.C, true)
+				v, err = hf.Fn(ip, ip.tauObj, args)
+				ip.putArgs(args)
+			} else {
+				v, err = ip.trackerCall(site, env, callArgs(regs, fregs, ftag, in.C))
+			}
 			if err != nil {
 				return ctrlNormal, nil, err
 			}

@@ -133,7 +133,7 @@ type Interp struct {
 	// or member lookup.
 	tauObj     *Object
 	tauVer     uint64
-	tauMethods map[string]Value
+	tauMethods map[string]*HostFunc
 	tauRebound bool
 
 	// resolver fast-path telemetry, flushed into Metrics by

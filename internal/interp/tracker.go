@@ -129,7 +129,7 @@ func (ip *Interp) InstallTracker(pol *policy.Policy) *dift.Tracker {
 	// check(data, receiver): verify the flow is allowed.
 	tau.Set("check", NewHostFunc("check", func(ip *Interp, this Value, args []Value) (Value, error) {
 		if len(args) < 2 {
-			return args[0], nil
+			return argOr(args, 0), nil
 		}
 		site := "check"
 		if len(args) > 2 {
@@ -182,7 +182,8 @@ func (ip *Interp) InstallTracker(pol *policy.Policy) *dift.Tracker {
 		}
 		// the return value derives from the arguments AND the receiver
 		// (frame.indexOf, frame.split, ... extract the receiver's data)
-		return tr.DeriveInvoke(ret, append(append([]Value{}, callArgs.Elems...), target)), nil
+		srcs := make([]Value, 0, len(callArgs.Elems)+1)
+		return tr.DeriveInvoke(ret, append(append(srcs, callArgs.Elems...), target)), nil
 	}))
 
 	// call(fn, argsArray): like invoke for bare function calls.
@@ -303,14 +304,14 @@ func (ip *Interp) InstallTracker(pol *policy.Policy) *dift.Tracker {
 
 	// snapshot for the VM's fused __t.* call opcode: method table plus the
 	// version the object had at install time. Any later mutation of τ or
-	// dynamic rebinding of __t invalidates the fast path (see trackerCall).
+	// dynamic rebinding of __t invalidates the fast path (see tauIntact).
 	ip.tauObj = tau
 	ip.tauVer = tau.version
 	ip.tauRebound = false
-	ip.tauMethods = make(map[string]Value, tau.Len())
+	ip.tauMethods = make(map[string]*HostFunc, tau.Len())
 	for _, k := range tau.Keys() {
 		if v, ok := tau.GetOwn(k); ok {
-			ip.tauMethods[k] = v
+			ip.tauMethods[k] = v.(*HostFunc)
 		}
 	}
 	return tr

@@ -34,6 +34,9 @@ go test ./internal/resolve -run '^$' -fuzz FuzzResolveEquivalence -fuzztime 5s -
 echo "== lexer differential fuzz smoke (table-driven lexer = reference lexer)"
 go test ./internal/lexer -run '^$' -fuzz FuzzTokenizeMatchesReference -fuzztime 5s
 
+echo "== label-walk differential fuzz smoke (container-only cycle set = reference walk)"
+go test ./internal/dift -run '^$' -fuzz FuzzDataLabelsMatchesReference -fuzztime 5s
+
 echo "== telemetry-disabled overhead gate (BenchmarkDIFTOps)"
 TURNSTILE_BENCH_GATE=1 go test ./internal/dift -run TestDisabledOverheadGate -v
 

@@ -98,16 +98,14 @@ func BenchmarkAnalysisTimeCodeQL(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // Parallel experiment harness: the end-to-end E1 path under the bounded
-// worker pool and the per-app pipeline cache. Compare Sequential vs
-// Parallel for the fan-out speedup (the acceptance target is >= 2x on a
-// >= 4-core machine) and ColdCache vs WarmCache for what repeated
-// experiment runs save by skipping re-parsing and re-analysis.
+// worker pool. Compare Sequential vs Parallel for the fan-out speedup (the
+// acceptance target is >= 2x on a >= 4-core machine).
 
-func benchRunE1(b *testing.B, opts harness.E1Options) {
+func benchRunE1(b *testing.B, parallel int) {
 	apps := corpus.All()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := harness.RunE1With(apps, opts)
+		res, err := harness.RunE1(apps, parallel)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -117,46 +115,20 @@ func benchRunE1(b *testing.B, opts harness.E1Options) {
 	}
 }
 
-func BenchmarkRunE1Sequential(b *testing.B) {
-	benchRunE1(b, harness.E1Options{Parallel: 1})
-}
+func BenchmarkRunE1Sequential(b *testing.B) { benchRunE1(b, 1) }
 
-func BenchmarkRunE1Parallel(b *testing.B) {
-	benchRunE1(b, harness.E1Options{Parallel: runtime.GOMAXPROCS(0)})
-}
+func BenchmarkRunE1Parallel(b *testing.B) { benchRunE1(b, runtime.GOMAXPROCS(0)) }
 
-func BenchmarkRunE1WarmCache(b *testing.B) {
-	apps := corpus.All()
-	cache := harness.NewCache()
-	opts := harness.E1Options{Parallel: runtime.GOMAXPROCS(0), Cache: cache}
-	if _, err := harness.RunE1With(apps, opts); err != nil {
-		b.Fatal(err) // warm the cache outside the timed region
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.RunE1With(apps, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchPrepareApp(b *testing.B, cache *harness.PipelineCache) {
+// BenchmarkPrepareApp times the three-version preparation of one app:
+// parse, analysis, instrumentation and deployment of all three versions.
+func BenchmarkPrepareApp(b *testing.B) {
 	app := corpus.ByName(corpus.All(), "modbus")
-	if cache != nil {
-		if _, err := harness.PrepareApp(app, cache, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := harness.PrepareApp(app, cache, false); err != nil {
+		if _, err := harness.PrepareApp(app, false); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkPrepareAppColdCache(b *testing.B) { benchPrepareApp(b, nil) }
-func BenchmarkPrepareAppWarmCache(b *testing.B) { benchPrepareApp(b, harness.NewCache()) }
 
 func benchMeasureApps(b *testing.B, parallel int) {
 	apps := corpus.All()
@@ -168,7 +140,7 @@ func benchMeasureApps(b *testing.B, parallel int) {
 	}
 	opts := harness.E2Options{Messages: 30, Warmup: 5, Repeats: 1,
 		ServiceScale: harness.DefaultServiceScale,
-		Parallel:     parallel, Cache: harness.NewCache()}
+		Parallel:     parallel}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ms, err := harness.MeasureApps(subset, opts)
@@ -235,7 +207,7 @@ func BenchmarkFigure12PerApp(b *testing.B) {
 func runnerFor(b *testing.B, name string) *harness.PreparedApp {
 	b.Helper()
 	app := corpus.ByName(corpus.All(), name)
-	prep, err := harness.PrepareApp(app, nil, false)
+	prep, err := harness.PrepareApp(app, false)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -27,9 +27,7 @@
 //
 // Scheduling flags: -parallel N fans the per-app analyses (E1) and
 // preparation+measurement (E2) across N workers (default: one per CPU;
-// 1 restores the paper's sequential methodology). A per-app pipeline
-// cache shares each app's parsed AST and dataflow analysis between E1 and
-// E2 and across repeated runs; -nocache disables it.
+// 1 restores the paper's sequential methodology).
 //
 // Observability flags: -metrics replays each runnable app's selective and
 // exhaustive versions with the telemetry layer attached and emits the
@@ -107,7 +105,6 @@ func main() {
 	appsFilter := flag.String("apps", "", "comma-separated app names for E2 (default: all 27)")
 	outDir := flag.String("out", "", "also write compiled results (JSON/CSV) into this directory")
 	parallel := flag.Int("parallel", harness.DefaultParallelism(), "experiment worker count (1 = sequential)")
-	nocache := flag.Bool("nocache", false, "disable the per-app parse+analysis cache")
 	metrics := flag.Bool("metrics", false, "emit the per-app DIFT overhead-breakdown tables")
 	traceDir := flag.String("trace", "", "write per-app selective-version trace JSON into this directory (implies -metrics)")
 	profileOut := flag.String("profile", "", "write a pprof CPU profile of the whole run to this file")
@@ -142,11 +139,6 @@ func main() {
 			f.Close()
 			fmt.Printf("cpu profile written to %s\n", *profileOut)
 		}()
-	}
-
-	cache := harness.NewCache()
-	if *nocache {
-		cache = nil
 	}
 
 	if *traceDir != "" {
@@ -239,7 +231,7 @@ func main() {
 	}
 
 	if *fig10 {
-		res, err := harness.RunE1With(apps, harness.E1Options{Parallel: *parallel, Cache: cache})
+		res, err := harness.RunE1(apps, *parallel)
 		if err != nil {
 			fatal(err)
 		}
@@ -255,7 +247,7 @@ func main() {
 			targets = filterRunnable(apps, *appsFilter)
 		}
 		opts := harness.E2Options{Messages: *messages, Warmup: *warmup, Repeats: *repeats,
-			Parallel: *parallel, Cache: cache, NoVM: *noVM}
+			Parallel: *parallel, NoVM: *noVM}
 		fmt.Printf("measuring %d app(s) × 3 versions × %d messages on %d worker(s)...\n",
 			len(targets), opts.Messages, *parallel)
 		ms, err := harness.MeasureApps(targets, opts)
@@ -303,7 +295,7 @@ func main() {
 			traceCap = telemetry.DefaultTraceCapacity
 		}
 		res, err := harness.RunBreakdown(targets, harness.BreakdownOptions{
-			Messages: *messages, Parallel: *parallel, Cache: cache, TraceCapacity: traceCap, NoVM: *noVM,
+			Messages: *messages, Parallel: *parallel, TraceCapacity: traceCap, NoVM: *noVM,
 		})
 		if err != nil {
 			fatal(err)
@@ -338,7 +330,7 @@ func main() {
 		}
 		res, err := harness.RunChaos(targets, harness.ChaosOptions{
 			Seed: *faultSeed, Messages: *messages, Parallel: *parallel,
-			Cache: cache, Schedule: schedule, NoVM: *noVM,
+			Schedule: schedule, NoVM: *noVM,
 		})
 		if err != nil {
 			fatal(err)
@@ -409,13 +401,6 @@ func main() {
 		}
 		if res.Passed != len(res.Apps) {
 			fatal(fmt.Errorf("generated corpus: %d app(s) failed (errors or false positives)", len(res.Apps)-res.Passed))
-		}
-	}
-
-	if cache != nil {
-		if s := cache.Stats(); s.Entries > 0 {
-			fmt.Printf("\npipeline cache: %d app(s) cached, %d lookup hit(s), %d miss(es)\n",
-				s.Entries, s.Hits, s.Misses)
 		}
 	}
 }

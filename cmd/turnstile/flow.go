@@ -31,6 +31,10 @@ func cmdFlow(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	instMode, err := parseMode(*mode)
+	if err != nil {
+		return err
+	}
 	if *flowPath == "" {
 		return fmt.Errorf("flow: -flow is required")
 	}
@@ -65,11 +69,6 @@ func cmdFlow(args []string) error {
 	tr := ip.InstallTracker(pol)
 	tr.Enforce = *enforce
 	rt := nodered.New(ip)
-
-	instMode := instrument.Selective
-	if *mode == "exhaustive" {
-		instMode = instrument.Exhaustive
-	}
 
 	// analyze all packages together, then load the managed versions
 	var files []taint.File

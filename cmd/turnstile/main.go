@@ -97,6 +97,17 @@ func usage() {
                   [-state DIR] [-resume] [-snapevery N]                   durable WAL + snapshots; recover and resume across restarts`)
 }
 
+// parseMode maps a -mode flag value to an instrumentation mode.
+func parseMode(s string) (instrument.Mode, error) {
+	switch s {
+	case "selective":
+		return instrument.Selective, nil
+	case "exhaustive":
+		return instrument.Exhaustive, nil
+	}
+	return 0, fmt.Errorf("unknown -mode %q: want selective or exhaustive", s)
+}
+
 // readSources loads and parses the input files, fanning the per-file work
 // across up to parallel workers (1 = sequential). Files are sorted first
 // and results are slotted by index, so output order never depends on the
@@ -190,11 +201,14 @@ func cmdInstrument(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sources, files, err := readSources(fs.Args(), *parallel)
+	instMode, err := parseMode(*mode)
 	if err != nil {
 		return err
 	}
-	_ = files
+	sources, _, err := readSources(fs.Args(), *parallel)
+	if err != nil {
+		return err
+	}
 	policyJSON := `{"rules":[]}`
 	if *policyPath != "" {
 		data, err := os.ReadFile(*policyPath)
@@ -204,9 +218,7 @@ func cmdInstrument(args []string) error {
 		policyJSON = string(data)
 	}
 	opts := core.DefaultOptions()
-	if *mode == "exhaustive" {
-		opts.Mode = instrument.Exhaustive
-	}
+	opts.Mode = instMode
 	opts.Enforce = false
 	app, err := core.Manage(sources, policyJSON, opts)
 	if err != nil {
@@ -229,7 +241,7 @@ func cmdInstrument(args []string) error {
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	policyPath := fs.String("policy", "", "IFC policy JSON file")
-	mode := fs.String("mode", "selective", "instrumentation mode")
+	mode := fs.String("mode", "selective", "instrumentation mode: selective or exhaustive")
 	sourceName := fs.String("source", "", "I/O source to feed (default: first registered)")
 	messages := fs.Int("messages", 10, "number of messages to inject")
 	payload := fs.String("payload", "person%d:E%d", "payload format (two %d verbs)")
@@ -249,6 +261,10 @@ func cmdRun(args []string) error {
 	profileOut := fs.String("profile", "", "write a pprof CPU profile of the run to this file")
 	noVM := fs.Bool("novm", false, "run on the tree-walking evaluator with the bytecode VM disabled (differential oracle)")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	instMode, err := parseMode(*mode)
+	if err != nil {
 		return err
 	}
 	if *profileOut != "" {
@@ -279,9 +295,7 @@ func cmdRun(args []string) error {
 		policyJSON = string(data)
 	}
 	opts := core.DefaultOptions()
-	if *mode == "exhaustive" {
-		opts.Mode = instrument.Exhaustive
-	}
+	opts.Mode = instMode
 	opts.Enforce = *enforce
 	opts.ImplicitFlows = *implicit
 	if *fuel > 0 || *maxDepth > 0 || *maxAlloc > 0 || *deadline > 0 {

@@ -96,6 +96,24 @@ func TestCmdInstrument(t *testing.T) {
 	if !strings.Contains(out, "__t.label(frame") {
 		t.Fatalf("instrumented output missing label:\n%s", out)
 	}
+	exh, err := capture(t, func() error {
+		return cmdInstrument([]string{"-policy", pol, "-mode", "exhaustive", app})
+	})
+	if err != nil || exh == out {
+		t.Fatalf("-mode exhaustive printed the selective version (err %v):\n%s", err, exh)
+	}
+	if _, err := capture(t, func() error {
+		return cmdInstrument([]string{"-policy", pol, "-mode", "exhaustve", app})
+	}); !isModeError(err) {
+		t.Fatalf("mistyped -mode: err = %v", err)
+	}
+}
+
+// isModeError reports whether err rejects a -mode value and names both
+// valid modes.
+func isModeError(err error) bool {
+	return err != nil && strings.Contains(err.Error(), "-mode") &&
+		strings.Contains(err.Error(), "selective") && strings.Contains(err.Error(), "exhaustive")
 }
 
 // TestCmdRun runs an app on the default VM and on the -novm tree-walker:
@@ -121,6 +139,9 @@ func TestCmdRun(t *testing.T) {
 	}
 	if !strings.Contains(outs[0], "sink writes: 3") || outs[1] != outs[0] {
 		t.Fatalf("default run:\n%s-novm run:\n%s", outs[0], outs[1])
+	}
+	if err := cmdRun([]string{"-policy", pol, "-mode", "Exhaustive", app}); !isModeError(err) {
+		t.Fatalf("mistyped -mode: err = %v", err)
 	}
 	retired := "-no" + "resolve"
 	cmd := exec.Command(os.Args[0], "-test.run=^TestCmdRun$")
@@ -240,5 +261,8 @@ func TestCmdFlowErrors(t *testing.T) {
 	pkg := writeTemp(t, "p.js", "let x = 1;")
 	if err := cmdFlow([]string{"-flow", flow, pkg}); err == nil {
 		t.Fatal("unknown node type should fail")
+	}
+	if err := cmdFlow([]string{"-flow", flow, "-mode", "full", pkg}); !isModeError(err) {
+		t.Fatalf("mistyped -mode: err = %v", err)
 	}
 }

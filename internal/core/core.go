@@ -22,7 +22,6 @@ import (
 	"turnstile/internal/resolve"
 	"turnstile/internal/taint"
 	"turnstile/internal/telemetry"
-	"turnstile/internal/vm"
 )
 
 // Options configures the pipeline.
@@ -61,12 +60,6 @@ type Options struct {
 	// tree-walking evaluator (the differential oracle) as the execution
 	// engine.
 	NoVM bool
-	// ArtifactCache, when non-nil, serves instrumented programs from the
-	// content-addressed compiled-bytecode cache: N deployments of the same
-	// instrumented source (e.g. serve tenants of one app) share one
-	// re-parse + resolve + compile. Ignored under NoVM, which never
-	// touches compiled artifacts.
-	ArtifactCache *vm.Cache
 }
 
 // DefaultOptions returns the paper's configuration: selective
@@ -187,36 +180,20 @@ func Manage(sources map[string]string, policyJSON string, opts Options) (*Manage
 		}
 		app.Instrumented[f.Name] = src
 		app.Results[f.Name] = res
-		build := func() (*ast.Program, error) {
-			prog, err := parser.Parse(f.Name, src)
-			if err != nil {
-				return nil, fmt.Errorf("core: instrumented %s does not re-parse: %w", f.Name, err)
-			}
-			// resolution must run on the re-parsed program: annotations do
-			// not survive printing
-			r := resolve.Resolve(prog)
-			if opts.Metrics != nil {
-				opts.Metrics.Add(telemetry.CtrResolveScopes, int64(r.Scopes))
-				opts.Metrics.Add(telemetry.CtrResolveSlots, int64(r.Slots))
-				opts.Metrics.Add(telemetry.CtrResolveResolved, int64(r.Resolved))
-				opts.Metrics.Add(telemetry.CtrResolveDynamic, int64(r.Dynamic))
-			}
-			return prog, nil
+		prog, err := parser.Parse(f.Name, src)
+		if err != nil {
+			return nil, fmt.Errorf("core: instrumented %s does not re-parse: %w", f.Name, err)
 		}
-		if opts.ArtifactCache != nil && !opts.NoVM {
-			prog, mod, err := opts.ArtifactCache.Load(f.Name, src, build)
-			if err != nil {
-				return nil, err
-			}
-			ip.RegisterCode(prog, mod)
-			managed[f.Name] = prog
-		} else {
-			prog, err := build()
-			if err != nil {
-				return nil, err
-			}
-			managed[f.Name] = prog
+		// resolution must run on the re-parsed program: annotations do not
+		// survive printing
+		r := resolve.Resolve(prog)
+		if opts.Metrics != nil {
+			opts.Metrics.Add(telemetry.CtrResolveScopes, int64(r.Scopes))
+			opts.Metrics.Add(telemetry.CtrResolveSlots, int64(r.Slots))
+			opts.Metrics.Add(telemetry.CtrResolveResolved, int64(r.Resolved))
+			opts.Metrics.Add(telemetry.CtrResolveDynamic, int64(r.Dynamic))
 		}
+		managed[f.Name] = prog
 	}
 
 	// deploy with local-require support: each file is a module; requiring
@@ -248,8 +225,7 @@ func Manage(sources map[string]string, policyJSON string, opts Options) (*Manage
 			continue
 		}
 		if err := guard.Contain("deploy", f.Name, func() error {
-			_, _, err := mustLoad(ip, f.Name)
-			return err
+			return mustLoad(ip, f.Name)
 		}); err != nil {
 			return nil, err
 		}
@@ -257,18 +233,12 @@ func Manage(sources map[string]string, policyJSON string, opts Options) (*Manage
 	return app, nil
 }
 
-// mustLoad drives the local loader for a deployment entry file.
-func mustLoad(ip *interp.Interp, name string) (interp.Value, bool, error) {
-	loaderRun := func() (interp.Value, error) {
-		// route through require so caching and cycle detection apply
-		reqV, _ := ip.Globals.Lookup("require")
-		return ip.CallFunction(reqV, interp.Undefined{}, []interp.Value{"./" + name}, ast.Pos{})
-	}
-	v, err := loaderRun()
-	if err != nil {
-		return nil, false, err
-	}
-	return v, true, nil
+// mustLoad drives the local loader for a deployment entry file, routed
+// through require so caching and cycle detection apply.
+func mustLoad(ip *interp.Interp, name string) error {
+	reqV, _ := ip.Globals.Lookup("require")
+	_, err := ip.CallFunction(reqV, interp.Undefined{}, []interp.Value{"./" + name}, ast.Pos{})
+	return err
 }
 
 // Emit injects an event into one of the application's I/O sources (what

@@ -27,8 +27,6 @@ type ChaosOptions struct {
 	// Parallel is the worker count; 0 selects GOMAXPROCS, 1 runs
 	// sequentially. Output is index-deterministic either way.
 	Parallel int
-	// Cache, when non-nil, memoizes parse + analysis per app.
-	Cache *PipelineCache
 	// Schedule, when non-nil, replaces the generated per-app schedules
 	// with one fixed schedule for every app (the -faultschedule file).
 	Schedule *faults.Schedule
@@ -88,7 +86,7 @@ type chaosVersion struct {
 }
 
 func chaosApp(app *corpus.App, opts ChaosOptions) (ChaosAppResult, error) {
-	prep, err := PrepareApp(app, opts.Cache, opts.NoVM)
+	prep, err := PrepareApp(app, opts.NoVM)
 	if err != nil {
 		return ChaosAppResult{}, fmt.Errorf("harness: %s: %w", app.Name, err)
 	}

@@ -12,7 +12,7 @@ import (
 // failure paths: every runnable app, original vs selective vs exhaustive,
 // under the same seeded fault schedule.
 func TestChaosEquivalenceAllApps(t *testing.T) {
-	res, err := RunChaos(corpus.All(), ChaosOptions{Seed: 3, Messages: 8, Cache: NewCache()})
+	res, err := RunChaos(corpus.All(), ChaosOptions{Seed: 3, Messages: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,9 +41,8 @@ func TestChaosEquivalenceAllApps(t *testing.T) {
 // of TestReportMatrix.
 func TestChaosDeterministicAcrossParallel(t *testing.T) {
 	apps := corpus.Runnable(corpus.All())[:6]
-	cache := NewCache()
 	render := func(parallel int) string {
-		res, err := RunChaos(apps, ChaosOptions{Seed: 11, Messages: 10, Parallel: parallel, Cache: cache})
+		res, err := RunChaos(apps, ChaosOptions{Seed: 11, Messages: 10, Parallel: parallel})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +53,7 @@ func TestChaosDeterministicAcrossParallel(t *testing.T) {
 		t.Fatal("repeated run diverged")
 	}
 	// a different seed must change the fault sequence
-	other, err := RunChaos(apps, ChaosOptions{Seed: 12, Messages: 10, Cache: cache})
+	other, err := RunChaos(apps, ChaosOptions{Seed: 12, Messages: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +69,7 @@ func TestChaosFixedScheduleOverride(t *testing.T) {
 	schedule := &faults.Schedule{Rules: []faults.Rule{
 		{Module: "fs", Op: "stream.write", Mode: faults.ModeDrop},
 	}}
-	res, err := RunChaos(apps, ChaosOptions{Seed: 1, Messages: 5, Cache: NewCache(), Schedule: schedule})
+	res, err := RunChaos(apps, ChaosOptions{Seed: 1, Messages: 5, Schedule: schedule})
 	if err != nil {
 		t.Fatal(err)
 	}

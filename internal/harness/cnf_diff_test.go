@@ -36,7 +36,7 @@ const cnfDiffMessages = 12
 func cnfDigest(app *corpus.App, policyJSON string) (string, error) {
 	clone := *app
 	clone.PolicyJSON = policyJSON
-	prep, err := PrepareApp(&clone, nil, false)
+	prep, err := PrepareApp(&clone, false)
 	if err != nil {
 		return "", err
 	}

@@ -30,10 +30,10 @@ type replaySignature struct {
 	SelInvokes, ExhInvok int
 }
 
-// replayApp prepares one app (optionally through a shared cache) and
-// feeds it msgs messages on all three versions.
-func replayApp(app *corpus.App, cache *PipelineCache, msgs int) (replaySignature, error) {
-	prep, err := PrepareApp(app, cache, false)
+// replayApp prepares one app and feeds it msgs messages on all three
+// versions.
+func replayApp(app *corpus.App, msgs int) (replaySignature, error) {
+	prep, err := PrepareApp(app, false)
 	if err != nil {
 		return replaySignature{}, err
 	}
@@ -62,9 +62,8 @@ func replayApp(app *corpus.App, cache *PipelineCache, msgs int) (replaySignature
 
 // TestConcurrentPrepareReplayEquivalence runs PrepareApp + workload
 // replay for every runnable corpus app from 8 goroutines simultaneously
-// (sharing one pipeline cache) and asserts that each goroutine observes
-// exactly the violation counts, tracker activity, and sink output of the
-// sequential reference run.
+// and asserts that each goroutine observes exactly the violation counts,
+// tracker activity, and sink output of the sequential reference run.
 func TestConcurrentPrepareReplayEquivalence(t *testing.T) {
 	const goroutines = 8
 	const msgs = 8
@@ -73,17 +72,16 @@ func TestConcurrentPrepareReplayEquivalence(t *testing.T) {
 		t.Fatalf("runnable apps = %d, want 27", len(apps))
 	}
 
-	// sequential reference, no cache
+	// sequential reference
 	want := make(map[string]replaySignature, len(apps))
 	for _, app := range apps {
-		sig, err := replayApp(app, nil, msgs)
+		sig, err := replayApp(app, msgs)
 		if err != nil {
 			t.Fatalf("sequential %s: %v", app.Name, err)
 		}
 		want[app.Name] = sig
 	}
 
-	cache := NewCache()
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines*len(apps))
 	for g := 0; g < goroutines; g++ {
@@ -91,7 +89,7 @@ func TestConcurrentPrepareReplayEquivalence(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for _, app := range apps {
-				sig, err := replayApp(app, cache, msgs)
+				sig, err := replayApp(app, msgs)
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d %s: %v", g, app.Name, err)
 					return
@@ -108,33 +106,25 @@ func TestConcurrentPrepareReplayEquivalence(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if s := cache.Stats(); s.Entries != len(apps) {
-		t.Errorf("cache entries = %d, want %d (stats %+v)", s.Entries, len(apps), s)
-	}
 }
 
-// TestE1RenderDeterminism runs E1 under every scheduling mode — the
-// sequential paper methodology, the 8-worker pool, and cold and warm
-// shared-cache variants — and asserts byte-identical rendered Figure 10
-// and Table 2 output.
+// TestE1RenderDeterminism runs E1 under both scheduling modes — the
+// sequential paper methodology and the 8-worker pool — and asserts
+// byte-identical rendered Figure 10 and Table 2 output.
 func TestE1RenderDeterminism(t *testing.T) {
 	apps := corpus.All()
 	table2 := RenderTable2(RunTable2())
 
-	cache := NewCache()
 	variants := []struct {
-		name string
-		opts E1Options
+		name     string
+		parallel int
 	}{
-		{"sequential", E1Options{Parallel: 1}},
-		{"parallel-8", E1Options{Parallel: 8}},
-		{"parallel-8-cold-cache", E1Options{Parallel: 8, Cache: cache}},
-		{"parallel-8-warm-cache", E1Options{Parallel: 8, Cache: cache}},
-		{"sequential-warm-cache", E1Options{Parallel: 1, Cache: cache}},
+		{"sequential", 1},
+		{"parallel-8", 8},
 	}
 	var ref string
 	for _, v := range variants {
-		res, err := RunE1With(apps, v.opts)
+		res, err := RunE1(apps, v.parallel)
 		if err != nil {
 			t.Fatalf("%s: %v", v.name, err)
 		}
@@ -148,13 +138,6 @@ func TestE1RenderDeterminism(t *testing.T) {
 			t.Errorf("%s: Table 2 render not stable", v.name)
 		}
 	}
-	s := cache.Stats()
-	if s.Entries != len(apps) {
-		t.Errorf("cache entries = %d, want %d", s.Entries, len(apps))
-	}
-	if s.Hits == 0 {
-		t.Error("warm cache runs recorded no hits")
-	}
 }
 
 // TestE1ParallelMatchesSequential checks the full result structure (not
@@ -162,11 +145,11 @@ func TestE1RenderDeterminism(t *testing.T) {
 // counts and aggregates.
 func TestE1ParallelMatchesSequential(t *testing.T) {
 	apps := corpus.All()
-	seq, err := RunE1(apps)
+	seq, err := RunE1(apps, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunE1With(apps, E1Options{Parallel: 16, Cache: NewCache()})
+	par, err := RunE1(apps, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +180,7 @@ func TestMeasureAppsParallelOrder(t *testing.T) {
 		corpus.ByName(apps, "watson"),
 		corpus.ByName(apps, "sensor-logger"),
 	}
-	opts := E2Options{Messages: 20, Warmup: 3, Repeats: 1, Parallel: 4, Cache: NewCache()}
+	opts := E2Options{Messages: 20, Warmup: 3, Repeats: 1, Parallel: 4}
 	ms, err := MeasureApps(subset, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -227,19 +210,19 @@ func TestParallelE1Speedup(t *testing.T) {
 		t.Skip("timing test")
 	}
 	apps := corpus.All()
-	// warm up allocators and caches once
-	if _, err := RunE1(apps); err != nil {
+	// warm up allocators once
+	if _, err := RunE1(apps, 1); err != nil {
 		t.Fatal(err)
 	}
 	best := 0.0
 	for attempt := 0; attempt < 3 && best < 2; attempt++ {
 		t0 := time.Now()
-		if _, err := RunE1(apps); err != nil {
+		if _, err := RunE1(apps, 1); err != nil {
 			t.Fatal(err)
 		}
 		seq := time.Since(t0)
 		t0 = time.Now()
-		if _, err := RunE1With(apps, E1Options{Parallel: runtime.NumCPU()}); err != nil {
+		if _, err := RunE1(apps, runtime.NumCPU()); err != nil {
 			t.Fatal(err)
 		}
 		par := time.Since(t0)

@@ -59,7 +59,7 @@ func TestExportCSVs(t *testing.T) {
 }
 
 func TestExportFigure10CSV(t *testing.T) {
-	res, err := RunE1(corpus.All()[:3])
+	res, err := RunE1(corpus.All()[:3], 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func TestGoldenTable2(t *testing.T) {
 // TestGoldenFigure10 pins the deterministic E1 detection table over the
 // real corpus (counts only — no measured durations).
 func TestGoldenFigure10(t *testing.T) {
-	res, err := RunE1With(corpus.All(), E1Options{Parallel: 4, Cache: NewCache()})
+	res, err := RunE1(corpus.All(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,49 +77,21 @@ type E1Result struct {
 	AppsBothFound     int
 }
 
-// E1Options configures how RunE1With schedules the per-app analyses.
-type E1Options struct {
-	// Parallel is the worker count; 0 selects GOMAXPROCS, 1 is the
-	// sequential path. Result order is index-deterministic either way.
-	Parallel int
-	// Cache, when non-nil, memoizes parse + analysis per app so warm
-	// reruns skip both (see PipelineCache).
-	Cache *PipelineCache
-}
-
-// RunE1 analyzes every corpus app with both analyzers, sequentially and
-// uncached — the paper's original single-goroutine methodology.
-func RunE1(apps []*corpus.App) (*E1Result, error) {
-	return RunE1With(apps, E1Options{Parallel: 1})
-}
-
-// RunE1With analyzes every corpus app with both analyzers, fanning the
-// per-app work across a bounded worker pool. Rows are collected in corpus
+// RunE1 analyzes every corpus app with both analyzers, fanning the per-app
+// work across parallel workers (0 selects GOMAXPROCS, 1 is the paper's
+// original single-goroutine methodology). Rows are collected in corpus
 // order and every aggregate is computed in a deterministic sequential
 // pass, so the rendered detection tables are byte-identical to a
 // sequential run.
-func RunE1With(apps []*corpus.App, opts E1Options) (*E1Result, error) {
-	rows, err := mapIndexed(len(apps), opts.Parallel, func(i int) (Figure10Row, error) {
+func RunE1(apps []*corpus.App, parallel int) (*E1Result, error) {
+	rows, err := mapIndexed(len(apps), parallel, func(i int) (Figure10Row, error) {
 		app := apps[i]
-		file := app.Name + ".js"
-		var tr *taint.Result
-		var br *baseline.Result
-		if opts.Cache != nil {
-			var err error
-			if _, tr, err = opts.Cache.Analyzed(file, app.Source, taint.DefaultOptions()); err != nil {
-				return Figure10Row{}, fmt.Errorf("harness: %s: %w", app.Name, err)
-			}
-			if br, err = opts.Cache.Baseline(file, app.Source, taint.DefaultOptions()); err != nil {
-				return Figure10Row{}, fmt.Errorf("harness: %s: %w", app.Name, err)
-			}
-		} else {
-			files, err := app.Files()
-			if err != nil {
-				return Figure10Row{}, err
-			}
-			tr = taint.Analyze(files, taint.DefaultOptions())
-			br = baseline.Analyze(files)
+		files, err := app.Files()
+		if err != nil {
+			return Figure10Row{}, err
 		}
+		tr := taint.Analyze(files, taint.DefaultOptions())
+		br := baseline.Analyze(files)
 		return Figure10Row{
 			App:          app.Name,
 			Category:     app.Category.String(),
@@ -169,9 +141,9 @@ func RunE1With(apps []*corpus.App, opts E1Options) (*E1Result, error) {
 
 // RenderFigure10 formats the deterministic half of E1: the per-app
 // detection table and the category tallies. Its output depends only on
-// the corpus, never on measured durations, so sequential, parallel, cold-
-// and warm-cache runs must render byte-identically (the determinism tests
-// and golden files assert exactly this).
+// the corpus, never on measured durations, so sequential and parallel
+// runs must render byte-identically (the determinism tests and golden
+// files assert exactly this).
 func RenderFigure10(res *E1Result) string {
 	var b strings.Builder
 	b.WriteString("Figure 10: privacy-sensitive dataflows per application\n")
@@ -257,9 +229,6 @@ type E2Options struct {
 	// apples-to-apples; only absolute service times pick up scheduling
 	// noise from neighbouring workers.
 	Parallel int
-	// Cache, when non-nil, memoizes each app's parse + analysis across
-	// PrepareApp calls and experiment reruns.
-	Cache *PipelineCache
 	// NoVM runs every version on the tree-walking evaluator with the
 	// bytecode VM disabled (the -novm escape hatch).
 	NoVM bool
@@ -282,7 +251,7 @@ func DefaultE2Options() E2Options {
 func MeasureApps(apps []*corpus.App, opts E2Options) ([]AppMeasurement, error) {
 	if opts.Messages == 0 {
 		d := DefaultE2Options()
-		d.Parallel, d.Cache, d.NoVM = opts.Parallel, opts.Cache, opts.NoVM
+		d.Parallel, d.NoVM = opts.Parallel, opts.NoVM
 		opts = d
 	}
 	runnable := corpus.Runnable(apps)
@@ -297,7 +266,7 @@ func MeasureApps(apps []*corpus.App, opts E2Options) ([]AppMeasurement, error) {
 
 // MeasureApp measures one app's three versions.
 func MeasureApp(app *corpus.App, opts E2Options) (*AppMeasurement, error) {
-	prep, err := PrepareApp(app, opts.Cache, opts.NoVM)
+	prep, err := PrepareApp(app, opts.NoVM)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"turnstile/internal/core"
 	"turnstile/internal/corpus"
+	"turnstile/internal/instrument"
+	"turnstile/internal/printer"
 	"turnstile/internal/workload"
 )
 
@@ -19,7 +22,7 @@ func TestRunTable2(t *testing.T) {
 }
 
 func TestRunE1HeadlineClaims(t *testing.T) {
-	res, err := RunE1(corpus.All())
+	res, err := RunE1(corpus.All(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +61,7 @@ func TestRunE1HeadlineClaims(t *testing.T) {
 func TestPrepareAppVersions(t *testing.T) {
 	apps := corpus.All()
 	app := corpus.ByName(apps, "camera-archiver")
-	prep, err := PrepareApp(app, nil, false)
+	prep, err := PrepareApp(app, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +103,7 @@ func TestPrepareAppVersions(t *testing.T) {
 
 func TestPrepareNonRunnable(t *testing.T) {
 	app := corpus.ByName(corpus.All(), "dashboard-api")
-	if _, err := PrepareApp(app, nil, false); err == nil {
+	if _, err := PrepareApp(app, false); err == nil {
 		t.Fatal("expected error for non-runnable app")
 	}
 }
@@ -176,7 +179,7 @@ func TestPrepareAppBadPolicy(t *testing.T) {
 		PolicyJSON: "{not json",
 		SourceName: "none",
 	}
-	if _, err := PrepareApp(app, nil, false); err == nil {
+	if _, err := PrepareApp(app, false); err == nil {
 		t.Fatal("expected policy error")
 	}
 }
@@ -189,7 +192,7 @@ func TestPrepareAppMissingSource(t *testing.T) {
 		PolicyJSON: `{"rules":[]}`,
 		SourceName: "net.socket:ghost:1",
 	}
-	if _, err := PrepareApp(app, nil, false); err == nil {
+	if _, err := PrepareApp(app, false); err == nil {
 		t.Fatal("expected unknown-source error")
 	}
 }
@@ -212,9 +215,13 @@ sock.on("data", frame => { throw new Error("boom on " + frame); });
 	}
 }
 
+// TestRunnerModes pins the three versions' posture: the original runs
+// untracked, the instrumented versions audit without enforcing (§6.2) and
+// deploy exactly what core.Manage deploys, and -novm reaches every
+// runner, so a walker run never executes bytecode.
 func TestRunnerModes(t *testing.T) {
 	app := corpus.ByName(corpus.All(), "sensor-logger")
-	prep, err := PrepareApp(app, nil, false)
+	prep, err := PrepareApp(app, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,5 +230,47 @@ func TestRunnerModes(t *testing.T) {
 	}
 	if prep.Analysis == nil || len(prep.Analysis.Paths) == 0 {
 		t.Fatal("analysis missing")
+	}
+	if prep.Original.IP.Tracker != nil {
+		t.Error("original version has a tracker")
+	}
+	file := app.Name + ".js"
+	for _, v := range []struct {
+		r    *Runner
+		res  *instrument.Result
+		mode instrument.Mode
+	}{
+		{prep.Selective, prep.SelectiveResult, instrument.Selective},
+		{prep.Exhaustive, prep.ExhaustiveResult, instrument.Exhaustive},
+	} {
+		if tr := v.r.IP.Tracker; tr == nil {
+			t.Errorf("%s: no tracker installed", v.r.Mode)
+		} else if tr.Enforce {
+			t.Errorf("%s: tracker enforces, want audit mode (§6.2)", v.r.Mode)
+		}
+		opts := core.DefaultOptions()
+		opts.Mode, opts.Enforce = v.mode, false
+		m, err := core.Manage(map[string]string{file: app.Source}, app.PolicyJSON, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := printer.Print(v.res.Program), m.Instrumented[file]; got != want {
+			t.Errorf("%s: prepared program differs from core.Manage's:\n%s\n--- core.Manage\n%s", v.r.Mode, got, want)
+		}
+	}
+
+	walk, err := PrepareApp(app, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*Runner{walk.Original, walk.Selective, walk.Exhaustive} {
+		if !r.IP.NoVM {
+			t.Errorf("%s: noVM preparation left the VM on", r.Mode)
+		}
+	}
+	for _, r := range []*Runner{prep.Original, prep.Selective, prep.Exhaustive} {
+		if r.IP.NoVM {
+			t.Errorf("%s: VM preparation runs on the walker", r.Mode)
+		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 // fidelity check for the virtual-time queue substitution.
 func TestRealTimeStreamIntegration(t *testing.T) {
 	app := corpus.ByName(corpus.All(), "sensor-logger")
-	prep, err := PrepareApp(app, nil, false)
+	prep, err := PrepareApp(app, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestInstrumentedCorpusRoundTrips(t *testing.T) {
 		}
 	}
 	for _, app := range corpus.Runnable(corpus.All()) {
-		prep, err := PrepareApp(app, nil, false)
+		prep, err := PrepareApp(app, false)
 		if err != nil {
 			t.Fatalf("%s: %v", app.Name, err)
 		}
@@ -75,7 +75,7 @@ func TestInstrumentedCorpusRoundTrips(t *testing.T) {
 // versions produce identical sink traces on the same workload.
 func TestSinkTraceEquivalence(t *testing.T) {
 	for _, app := range corpus.Runnable(corpus.All()) {
-		prep, err := PrepareApp(app, nil, false)
+		prep, err := PrepareApp(app, false)
 		if err != nil {
 			t.Fatalf("%s: %v", app.Name, err)
 		}

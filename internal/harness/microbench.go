@@ -204,8 +204,7 @@ func RunVMMicrobench(repeats int) (*VMMicrobenchReport, error) {
 // benchProgram parses (and, when resolved, resolves) one workload and
 // returns the best-of-repeats wall time of a full run on a fresh
 // interpreter in the requested execution mode. The AST is shared across
-// repeats — exactly how the pipeline cache shares programs — so parse
-// cost is excluded; bytecode compilation happens once on the first VM
+// repeats, so parse cost is excluded; bytecode compilation happens once on the first VM
 // repeat and is shared through the interpreter's program-module table
 // only within a repeat (each repeat gets a fresh interpreter, so compile
 // cost is included in every VM sample, biasing against the VM).

@@ -7,24 +7,21 @@ import (
 	"turnstile/internal/corpus"
 )
 
-// Regression for the pipeline-cache aliasing bug: two apps prepared from
-// the same shared cache used to receive policies whose rule/injection/CNF
-// slices aliased the caller's (and each other's) backing arrays, so one
-// app's tracker mutating label state could corrupt the other's. With the
-// defensive copies in policy.New/SetCNF each prepared app owns its policy
-// outright; running both concurrently under -race must stay clean.
-func TestCachedAppsConcurrentLabelMutation(t *testing.T) {
+// Regression for the policy aliasing bug: two preparations of the same app
+// used to receive policies whose rule/injection/CNF slices aliased the
+// caller's (and each other's) backing arrays, so one app's tracker
+// mutating label state could corrupt the other's. With the defensive
+// copies in policy.New/SetCNF each prepared app owns its policy outright;
+// running both concurrently under -race must stay clean.
+func TestPreparedAppsConcurrentLabelMutation(t *testing.T) {
 	apps := corpus.Runnable(corpus.All())
 	if len(apps) < 2 {
 		t.Fatal("need at least two runnable apps")
 	}
-	cache := NewCache()
-
-	// prepare the same two apps twice each from one shared cache: the
-	// second preparation reuses the cached AST + analysis
+	// prepare the same two apps twice each
 	var preps []*PreparedApp
 	for _, app := range []*corpus.App{apps[0], apps[1], apps[0], apps[1]} {
-		p, err := PrepareApp(app, cache, false)
+		p, err := PrepareApp(app, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +50,7 @@ func TestCachedAppsConcurrentLabelMutation(t *testing.T) {
 	for i, j := range map[int]int{0: 2, 1: 3} {
 		a, b := preps[i].Exhaustive.IP.Tracker.Stats(), preps[j].Exhaustive.IP.Tracker.Stats()
 		if a != b {
-			t.Errorf("%s: cache-sharing preparations diverged: %+v vs %+v", preps[i].App.Name, a, b)
+			t.Errorf("%s: same-app preparations diverged: %+v vs %+v", preps[i].App.Name, a, b)
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // This file implements the bounded worker-pool scheduler behind the
-// harness's parallel experiment paths (RunE1With, MeasureApps,
+// harness's parallel experiment paths (RunE1, MeasureApps,
 // parallel source loading in the CLIs). Work items are claimed from an
 // atomic counter and results are written into index-addressed slots, so
 // the output order — and therefore every rendered table and figure — is

@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-
-	"turnstile/internal/corpus"
-	"turnstile/internal/taint"
 )
 
 func TestMapIndexedOrderAndConcurrency(t *testing.T) {
@@ -72,58 +69,5 @@ func TestForEachPropagatesError(t *testing.T) {
 	}
 	if err := ForEach(10, 4, func(i int) error { return nil }); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPipelineCacheHitsAndSharing(t *testing.T) {
-	cache := NewCache()
-	app := corpus.ByName(corpus.All(), "modbus")
-	opts := taint.DefaultOptions()
-	p1, a1, err := cache.Analyzed("modbus.js", app.Source, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, a2, err := cache.Analyzed("modbus.js", app.Source, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 != p2 || a1 != a2 {
-		t.Fatal("cache did not share the parsed AST / analysis")
-	}
-	b1, err := cache.Baseline("modbus.js", app.Source, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := cache.Baseline("modbus.js", app.Source, opts)
-	if err != nil || b1 != b2 {
-		t.Fatalf("baseline result not shared (err %v)", err)
-	}
-	s := cache.Stats()
-	if s.Entries != 1 {
-		t.Fatalf("entries = %d", s.Entries)
-	}
-	if s.Misses != 1 || s.Hits != 3 {
-		t.Fatalf("stats = %+v, want 1 miss / 3 hits", s)
-	}
-
-	// different analysis options are a different pipeline
-	opts.ImplicitFlows = true
-	if _, _, err := cache.Analyzed("modbus.js", app.Source, opts); err != nil {
-		t.Fatal(err)
-	}
-	if s := cache.Stats(); s.Entries != 2 {
-		t.Fatalf("entries = %d, want 2 (options are part of the key)", s.Entries)
-	}
-}
-
-func TestPipelineCacheParseError(t *testing.T) {
-	cache := NewCache()
-	for i := 0; i < 2; i++ {
-		if _, _, err := cache.Analyzed("bad.js", "let = ;", taint.DefaultOptions()); err == nil {
-			t.Fatal("expected parse error")
-		}
-		if _, err := cache.Baseline("bad.js", "let = ;", taint.DefaultOptions()); err == nil {
-			t.Fatal("expected parse error from Baseline")
-		}
 	}
 }

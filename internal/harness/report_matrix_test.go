@@ -31,9 +31,9 @@ func cliApps() []*corpus.App {
 
 // chaosRow renders RunChaos, with every app's fault trace when traces is
 // set.
-func chaosRow(name string, cache *PipelineCache, apps []*corpus.App, seed int64, messages int, traces bool) reportRow {
+func chaosRow(name string, apps []*corpus.App, seed int64, messages int, traces bool) reportRow {
 	return reportRow{name: name, render: func(noVM bool, parallel int) (string, error) {
-		res, err := RunChaos(apps, ChaosOptions{Seed: seed, Messages: messages, Parallel: parallel, Cache: cache, NoVM: noVM})
+		res, err := RunChaos(apps, ChaosOptions{Seed: seed, Messages: messages, Parallel: parallel, NoVM: noVM})
 		if err != nil {
 			return "", err
 		}
@@ -51,10 +51,10 @@ func chaosRow(name string, cache *PipelineCache, apps []*corpus.App, seed int64,
 
 // breakdownRow renders RunBreakdown, with the exported selective traces
 // when traceCap is set.
-func breakdownRow(name string, cache *PipelineCache, apps []*corpus.App, messages, traceCap int) reportRow {
+func breakdownRow(name string, apps []*corpus.App, messages, traceCap int) reportRow {
 	return reportRow{name: name, render: func(noVM bool, parallel int) (string, error) {
 		res, err := RunBreakdown(apps, BreakdownOptions{
-			Messages: messages, Parallel: parallel, Cache: cache, TraceCapacity: traceCap, NoVM: noVM,
+			Messages: messages, Parallel: parallel, TraceCapacity: traceCap, NoVM: noVM,
 		})
 		if err != nil {
 			return "", err
@@ -105,17 +105,16 @@ func scored(out string, fn, passed, apps int) (string, error) {
 // the turnstile-bench invocation in its comment; the other rows add the
 // whole corpus, traces and other seeds.
 func reportRows() []reportRow {
-	cache := NewCache()
 	return []reportRow{
-		breakdownRow("breakdown-traces", cache, corpus.All(), diffMessages, telemetry.DefaultTraceCapacity),
+		breakdownRow("breakdown-traces", corpus.All(), diffMessages, telemetry.DefaultTraceCapacity),
 		crashRow("crash", nil), // -crash
 		crashRow("crash-chaos", crashChaosSchedule()),
-		chaosRow("chaos-corpus", cache, corpus.All(), 3, 8, true),
-		chaosRow("chaos-slice", cache, corpus.Runnable(corpus.All())[:6], 11, 10, false),
+		chaosRow("chaos-corpus", corpus.All(), 3, 8, true),
+		chaosRow("chaos-slice", corpus.Runnable(corpus.All())[:6], 11, 10, false),
 		// -chaos -faultseed 7 -messages 20 -apps modbus,sensor-logger,thermostat-hub
-		chaosRow("chaos", cache, cliApps(), 7, 20, false),
+		chaosRow("chaos", cliApps(), 7, 20, false),
 		// -metrics -messages 20 -apps modbus,sensor-logger,thermostat-hub
-		breakdownRow("breakdown", cache, cliApps(), 20, 0),
+		breakdownRow("breakdown", cliApps(), 20, 0),
 		{
 			// -gen 56 -genseed 3, also at the default worker count (0)
 			name: "gen", parallels: []int{1, 0, 8},

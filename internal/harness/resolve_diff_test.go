@@ -19,8 +19,8 @@ import (
 // renders everything observable into a canonical string (see
 // runnersSignature). Two engines are equivalent iff their signatures are
 // byte-identical.
-func appSignature(app *corpus.App, cache *PipelineCache, noVM bool, messages int) (string, error) {
-	prep, err := PrepareApp(app, cache, noVM)
+func appSignature(app *corpus.App, noVM bool, messages int) (string, error) {
+	prep, err := PrepareApp(app, noVM)
 	if err != nil {
 		return "", fmt.Errorf("%s: %w", app.Name, err)
 	}
@@ -103,7 +103,7 @@ func TestResolveDifferentialFullCorpus(t *testing.T) {
 	type pair struct{ slot, mapWalk string }
 	pairs, err := mapIndexed(len(runnable), 0, func(i int) (pair, error) {
 		app := runnable[i]
-		prep, err := PrepareApp(app, nil, true)
+		prep, err := PrepareApp(app, true)
 		if err != nil {
 			return pair{}, err
 		}

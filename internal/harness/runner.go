@@ -4,12 +4,11 @@ import (
 	"fmt"
 
 	"turnstile/internal/ast"
+	"turnstile/internal/core"
 	"turnstile/internal/corpus"
 	"turnstile/internal/instrument"
 	"turnstile/internal/interp"
 	"turnstile/internal/parser"
-	"turnstile/internal/policy"
-	"turnstile/internal/printer"
 	"turnstile/internal/resolve"
 	"turnstile/internal/taint"
 )
@@ -42,72 +41,50 @@ type PreparedApp struct {
 	ExhaustiveResult *instrument.Result
 }
 
-// PrepareApp parses, analyzes, instruments and loads all three versions of
-// a runnable corpus app — the full Turnstile workflow of Fig. 3. cache,
-// when non-nil, serves the parse and dataflow analysis (computed once per
-// app) and shares the cached AST, which every downstream stage treats as
-// read-only, with the original version's interpreter; in VM mode the
-// original version also reuses the cache's compiled bytecode. noVM runs
-// all three versions on the tree-walking evaluator. Safe to call from
-// multiple goroutines with one shared cache.
-func PrepareApp(app *corpus.App, cache *PipelineCache, noVM bool) (*PreparedApp, error) {
+// PrepareApp loads all three versions of a runnable corpus app. The
+// original runs the uninstrumented program with no tracker; the selective
+// and exhaustive versions are deployed through core.Manage — the full
+// Turnstile workflow of Fig. 3 — with enforcement off, the audit posture
+// of the §6.2 performance runs. noVM runs all three versions on the
+// tree-walking evaluator. Safe to call from multiple goroutines.
+func PrepareApp(app *corpus.App, noVM bool) (*PreparedApp, error) {
 	if !app.Runnable {
 		return nil, fmt.Errorf("harness: app %s is not runnable", app.Name)
 	}
 	file := app.Name + ".js"
-	prog, analysis, mod, err := analyzedApp(cache, file, app.Source, taint.DefaultOptions(), noVM)
+	prog, err := parser.Parse(file, app.Source)
 	if err != nil {
 		return nil, err
 	}
-
-	prep := &PreparedApp{App: app, Analysis: analysis}
-
-	// original: no tracker, no instrumentation
+	resolve.Resolve(prog)
 	ip := interp.New()
 	ip.NoVM = noVM
-	if mod != nil {
-		ip.RegisterCode(prog, mod)
-	}
+	prep := &PreparedApp{App: app}
 	if prep.Original, err = start(app, ip, prog, "original"); err != nil {
 		return nil, fmt.Errorf("original version: %w", err)
 	}
 
-	// helper building an instrumented version
-	build := func(mode instrument.Mode, sel instrument.Selection) (*Runner, *instrument.Result, error) {
-		ip := interp.New()
-		ip.NoVM = noVM
-		pol, err := policy.ParseJSON([]byte(app.PolicyJSON), ip.CompileLabelFunc)
-		if err != nil {
-			return nil, nil, fmt.Errorf("policy: %w", err)
-		}
-		res, err := instrument.Instrument(prog, instrument.Options{
-			Mode:       mode,
-			Selection:  sel,
-			Injections: pol.Injections,
-			File:       file,
-		})
+	manage := func(mode instrument.Mode) (*Runner, *core.ManagedApp, error) {
+		opts := core.DefaultOptions()
+		opts.Mode = mode
+		opts.Enforce = false
+		opts.NoVM = noVM
+		m, err := core.Manage(map[string]string{file: app.Source}, app.PolicyJSON, opts)
 		if err != nil {
 			return nil, nil, err
 		}
-		src := printer.Print(res.Program)
-		inst, err := parser.Parse(file, src)
-		if err != nil {
-			return nil, nil, fmt.Errorf("instrumented output does not re-parse: %w", err)
-		}
-		resolve.Resolve(inst)
-		tr := ip.InstallTracker(pol)
-		tr.Enforce = false // audit mode for performance runs (§6.2)
-		r, err := start(app, ip, inst, mode.String())
-		return r, res, err
+		r, err := locate(app, m.IP, mode.String())
+		return r, m, err
 	}
-
-	sel := instrument.Selection(analysis.SelectionFor(file))
-	if prep.Selective, prep.SelectiveResult, err = build(instrument.Selective, sel); err != nil {
+	sel, m, err := manage(instrument.Selective)
+	if err != nil {
 		return nil, fmt.Errorf("selective version: %w", err)
 	}
-	if prep.Exhaustive, prep.ExhaustiveResult, err = build(instrument.Exhaustive, nil); err != nil {
+	prep.Selective, prep.Analysis, prep.SelectiveResult = sel, m.Analysis, m.Results[file]
+	if prep.Exhaustive, m, err = manage(instrument.Exhaustive); err != nil {
 		return nil, fmt.Errorf("exhaustive version: %w", err)
 	}
+	prep.ExhaustiveResult = m.Results[file]
 	return prep, nil
 }
 
@@ -117,6 +94,11 @@ func start(app *corpus.App, ip *interp.Interp, prog *ast.Program, mode string) (
 	if err := ip.Run(prog); err != nil {
 		return nil, err
 	}
+	return locate(app, ip, mode)
+}
+
+// locate finds the app's input source on a loaded version's interpreter.
+func locate(app *corpus.App, ip *interp.Interp, mode string) (*Runner, error) {
 	source, ok := ip.Source(app.SourceName)
 	if !ok {
 		return nil, fmt.Errorf("source %q not registered (have %v)", app.SourceName, ip.SourceNames())

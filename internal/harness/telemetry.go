@@ -91,8 +91,6 @@ type BreakdownOptions struct {
 	// Parallel is the worker count; 0 selects GOMAXPROCS, 1 runs
 	// sequentially. Output is index-deterministic either way.
 	Parallel int
-	// Cache, when non-nil, memoizes parse + analysis per app.
-	Cache *PipelineCache
 	// TraceCapacity > 0 also attaches a structured tracer to each version
 	// and exports the selective version's trace into the row.
 	TraceCapacity int
@@ -120,7 +118,7 @@ func RunBreakdown(apps []*corpus.App, opts BreakdownOptions) (*BreakdownResult, 
 }
 
 func breakdownApp(app *corpus.App, opts BreakdownOptions) (BreakdownRow, error) {
-	prep, err := PrepareApp(app, opts.Cache, opts.NoVM)
+	prep, err := PrepareApp(app, opts.NoVM)
 	if err != nil {
 		return BreakdownRow{}, fmt.Errorf("harness: %s: %w", app.Name, err)
 	}

@@ -45,8 +45,8 @@ type appObservation struct {
 // observeApp prepares a fresh instance of the app (interpreter state is
 // mutated by the pump, so versions are never reused across configs) and
 // records the observable outcome of each version under the given config.
-func observeApp(app *corpus.App, cache *PipelineCache, cfg telemetryConfig) (*appObservation, error) {
-	prep, err := PrepareApp(app, cache, false)
+func observeApp(app *corpus.App, cfg telemetryConfig) (*appObservation, error) {
+	prep, err := PrepareApp(app, false)
 	if err != nil {
 		return nil, err
 	}
@@ -117,12 +117,10 @@ func TestTelemetryDifferentialCorpus(t *testing.T) {
 	if len(apps) == 0 {
 		t.Fatal("no runnable apps in the corpus")
 	}
-	cache := NewCache()
-
 	// sequential telemetry-off baseline
 	baseline := make([]*appObservation, len(apps))
 	for i, app := range apps {
-		obs, err := observeApp(app, cache, telemetryConfigs[0])
+		obs, err := observeApp(app, telemetryConfigs[0])
 		if err != nil {
 			t.Fatalf("%s: baseline: %v", app.Name, err)
 		}
@@ -138,7 +136,7 @@ func TestTelemetryDifferentialCorpus(t *testing.T) {
 		for _, parallel := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%s/parallel=%d", cfg.name, parallel), func(t *testing.T) {
 				got, err := mapIndexed(len(apps), parallel, func(i int) (*appObservation, error) {
-					return observeApp(apps[i], cache, cfg)
+					return observeApp(apps[i], cfg)
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -24,7 +24,7 @@ func TestGoldenBreakdown(t *testing.T) {
 		}
 		apps = append(apps, a)
 	}
-	res, err := RunBreakdown(apps, BreakdownOptions{Messages: 20, Parallel: 4, Cache: NewCache()})
+	res, err := RunBreakdown(apps, BreakdownOptions{Messages: 20, Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"turnstile/internal/corpus"
-	"turnstile/internal/taint"
 )
 
 // The bytecode VM's corpus-wide semantics gates: the tree-walker is the
@@ -21,7 +20,7 @@ func vmCorpusSignatures(t *testing.T, noVM bool, parallel, messages int) []strin
 	t.Helper()
 	runnable := corpus.Runnable(corpus.All())
 	sigs, err := mapIndexed(len(runnable), parallel, func(i int) (string, error) {
-		return appSignature(runnable[i], nil, noVM, messages)
+		return appSignature(runnable[i], noVM, messages)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,15 +59,12 @@ func TestVMDifferentialFullCorpus(t *testing.T) {
 	}
 }
 
-// TestVMSharedCacheBothModes: one PipelineCache serves VM and tree-walker
-// preparations concurrently (go test -race covers the sharing). Both
-// engines share the entry's resolved AST, but only VM preparations may
-// receive its compiled bytecode: a walker run handed the module would
-// execute the VM and the harness would silently stop being
-// differential.
+// TestVMSharedCacheBothModes: VM and tree-walker preparations of the same
+// apps run concurrently in one process, sharing the interpreter package's
+// process-wide state (go test -race covers the sharing), and must still
+// produce byte-identical signatures.
 func TestVMSharedCacheBothModes(t *testing.T) {
 	const messages = 25
-	cache := NewCache()
 	runnable := corpus.Runnable(corpus.All())
 	if len(runnable) > 6 {
 		runnable = runnable[:6]
@@ -86,7 +82,7 @@ func TestVMSharedCacheBothModes(t *testing.T) {
 			wg.Add(1)
 			go func(m, i int, noVM bool, app *corpus.App) {
 				defer wg.Done()
-				sig, err := appSignature(app, cache, noVM, messages)
+				sig, err := appSignature(app, noVM, messages)
 				if err != nil {
 					errs <- err
 					return
@@ -102,44 +98,8 @@ func TestVMSharedCacheBothModes(t *testing.T) {
 	}
 	for i, app := range runnable {
 		if sigs[0][i] != sigs[1][i] {
-			t.Errorf("%s: modes diverge when sharing one cache:\n--- vm\n%s--- novm\n%s",
+			t.Errorf("%s: modes diverge when run concurrently:\n--- vm\n%s--- novm\n%s",
 				app.Name, sigs[0][i], sigs[1][i])
-		}
-	}
-
-	// artifact separation: a VM preparation receives the compiled
-	// bytecode, a walker preparation must not
-	app := runnable[0]
-	_, _, vmMod, err := analyzedApp(cache, app.Name+".js", app.Source, taint.DefaultOptions(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vmMod == nil {
-		t.Error("VM preparation received no compiled module")
-	}
-	_, _, walkMod, err := analyzedApp(cache, app.Name+".js", app.Source, taint.DefaultOptions(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if walkMod != nil {
-		t.Error("walker preparation received a compiled module")
-	}
-}
-
-// TestE1CompilesNoBytecode: E1 (-figure10) only parses and analyzes, so
-// running it on a fresh cache must leave every entry without a compiled
-// module.
-func TestE1CompilesNoBytecode(t *testing.T) {
-	cache := NewCache()
-	if _, err := RunE1With(corpus.All(), E1Options{Cache: cache}); err != nil {
-		t.Fatal(err)
-	}
-	if len(cache.entries) == 0 {
-		t.Fatal("E1 cached nothing")
-	}
-	for key, e := range cache.entries {
-		if e.mod != nil {
-			t.Errorf("cache entry %.12s holds a compiled module after E1", key)
 		}
 	}
 }

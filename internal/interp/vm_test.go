@@ -3,14 +3,12 @@ package interp
 import (
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"turnstile/internal/ast"
 	"turnstile/internal/parser"
 	"turnstile/internal/resolve"
 	"turnstile/internal/telemetry"
-	"turnstile/internal/vm"
 )
 
 // The bytecode VM must be observationally identical to the tree-walker:
@@ -403,49 +401,6 @@ func TestTrackerFusionRebindFallback(t *testing.T) {
 	}
 	if !ip2.tauRebound {
 		t.Fatal("assignIdent of __t did not latch tauRebound")
-	}
-}
-
-// TestArtifactCacheSingleflight pins the content-addressed compiled
-// artifact cache: one build per content, distinct content distinct
-// entries, and a version-salted key.
-func TestArtifactCacheSingleflight(t *testing.T) {
-	cache := vm.NewCache()
-	builds := 0
-	build := func(src string) func() (*ast.Program, error) {
-		return func() (*ast.Program, error) {
-			builds++
-			prog, err := parser.Parse("a.js", src)
-			if err != nil {
-				return nil, err
-			}
-			resolve.Resolve(prog)
-			return prog, nil
-		}
-	}
-	p1, m1, err := cache.Load("a.js", "var x = 1;", build("var x = 1;"))
-	if err != nil || p1 == nil || m1 == nil {
-		t.Fatalf("load: %v", err)
-	}
-	p2, m2, _ := cache.Load("a.js", "var x = 1;", build("var x = 1;"))
-	if p2 != p1 || m2 != m1 {
-		t.Fatal("same content must return the identical artifact")
-	}
-	if builds != 1 {
-		t.Fatalf("builds = %d, want 1", builds)
-	}
-	p3, _, _ := cache.Load("a.js", "var x = 2;", build("var x = 2;"))
-	if p3 == p1 {
-		t.Fatal("distinct content aliased one artifact")
-	}
-	if hits, misses := cache.Stats(); hits != 1 || misses != 2 {
-		t.Fatalf("stats = (%d, %d), want (1, 2)", hits, misses)
-	}
-	if vm.Key("a.js", "src") == vm.Key("a.js", "src2") || vm.Key("a.js", "s") == vm.Key("b.js", "s") {
-		t.Fatal("key must cover file and source")
-	}
-	if !strings.Contains(vm.Version, "vm") {
-		t.Fatal("bytecode version tag missing")
 	}
 }
 

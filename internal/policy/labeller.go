@@ -71,8 +71,8 @@ func (p *Policy) HasCNF() bool {
 
 // SetCNF validates and installs the CNF extension. Slices are copied, so
 // the caller's backing arrays are never aliased into the policy — two
-// applications sharing parsed policy parts through the pipeline cache must
-// not be able to corrupt each other's clause lists.
+// applications built from the same parsed policy parts must not be able
+// to corrupt each other's clause lists.
 func (p *Policy) SetCNF(exchanges []Exchange, decs []Declassifier, ends []Endorsement) error {
 	if err := validateCNF(exchanges, decs, ends); err != nil {
 		return err

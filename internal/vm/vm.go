@@ -19,18 +19,7 @@
 // an environment walk plus method lookup per tracker operation.
 package vm
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"sync"
-
-	"turnstile/internal/ast"
-)
-
-// Version tags the bytecode format; it participates in the
-// content-addressed artifact cache key so a format change never revives
-// stale compiled artifacts.
-const Version = "turnstile-vm-3"
+import "turnstile/internal/ast"
 
 // Op is a bytecode opcode.
 type Op uint8
@@ -176,80 +165,4 @@ type Chunk struct {
 type Module struct {
 	Top   *Chunk
 	Funcs map[*ast.FuncLit]*Chunk
-}
-
-// ---------------------------------------------------------------------------
-// Content-addressed compiled-artifact cache
-
-// Cache is a singleflight content-addressed artifact cache: the key is
-// sha256(file, source, bytecode version), the value is the parsed+resolved
-// program together with its compiled module. Because chunks reference AST
-// nodes (inline-cache sites, positions), the cached program and module are
-// one artifact and must be used together — exactly what a multi-tenant
-// serve deployment of the same app wants for cold starts.
-type Cache struct {
-	mu      sync.Mutex
-	entries map[string]*cacheEntry
-	hits    int64
-	misses  int64
-}
-
-type cacheEntry struct {
-	once sync.Once
-	prog *ast.Program
-	mod  *Module
-	err  error
-}
-
-// NewCache creates an empty artifact cache.
-func NewCache() *Cache {
-	return &Cache{entries: make(map[string]*cacheEntry)}
-}
-
-// Key returns the content hash for a (file, source) pair under the
-// current bytecode version.
-func Key(file, source string) string {
-	h := sha256.New()
-	h.Write([]byte(file))
-	h.Write([]byte{0})
-	h.Write([]byte(source))
-	h.Write([]byte{0})
-	h.Write([]byte(Version))
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// Load returns the compiled artifact for (file, source), building it at
-// most once per cache: concurrent callers for the same content share one
-// parse+resolve+compile. The build callback must return a fully resolved
-// program; Load compiles it.
-func (c *Cache) Load(file, source string, build func() (*ast.Program, error)) (*ast.Program, *Module, error) {
-	key := Key(file, source)
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok {
-		e = &cacheEntry{}
-		c.entries[key] = e
-		c.misses++
-	} else {
-		c.hits++
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		prog, err := build()
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.prog = prog
-		e.mod = Compile(prog)
-	})
-	return e.prog, e.mod, e.err
-}
-
-// Stats reports (hits, misses) so tests and telemetry can observe
-// cold-start sharing.
-func (c *Cache) Stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }

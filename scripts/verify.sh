@@ -1,5 +1,5 @@
 #!/bin/sh
-# Tier-1 verification gate: build, vet, tests (report comparisons across
+# Tier-1 verification gate: build, vet, gofmt, tests (report comparisons across
 # engines and -parallel live in TestReportMatrix), race-enabled tests,
 # fuzz smokes, perf gates and the serve/recovery/durable CLI round trips.
 # Run from the repository root: ./scripts/verify.sh
@@ -12,6 +12,9 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== gofmt -l ."
+test -z "$(gofmt -l .)"
 
 echo "== go test ./..."
 go test ./...
